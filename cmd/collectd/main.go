@@ -1,9 +1,17 @@
 // Command collectd runs the EnergyDx trace-collection server. Phones
-// (or cmd/tracegen) upload JSON-lines trace bundles over TCP; on
+// (or cmd/tracegen) upload binenc-framed trace bundles over TCP; on
 // shutdown (SIGINT/SIGTERM) the server dumps its stored corpus as one
-// JSONL file per app.
+// JSON-lines file per app, <out>/<app>.jsonl (app IDs that are not
+// path-safe are sanitized and suffixed with a hash), and — with -store
+// — every rejected upload the store holds to
+// <out>/quarantine/rejected.jsonl.
 //
-// The -faults flag turns the server into a chaos rig: received lines
+// The -store flag makes ingest durable: accepted bundles and rejects
+// are group-committed to a segmented binary log (fsyncs are amortized
+// across concurrent uploads), and a restart over the same directory
+// restores every acknowledged bundle.
+//
+// The -faults flag turns the server into a chaos rig: received frames
 // are corrupted, truncated, duplicated, delayed or their connections
 // dropped behind a seeded RNG, which exercises client retry and the
 // server's quarantine exactly as an unreliable network would.
@@ -35,10 +43,8 @@
 //
 // For fleet-scale ingest, -shards N splits the listener into N
 // in-process shards behind a hash(appID) router, each owning its apps'
-// store partition and analyzers, and -store-format seg switches the
-// durable store to the segmented binary log with group commit
-// (fsyncs are amortized across concurrent uploads). In sharded mode
-// the analysis surface is served through a fanout that delegates
+// analyzers and a store partition under <store>/shard-<i>. In sharded
+// mode the analysis surface is served through a fanout that delegates
 // app-scoped endpoints to the owning shard.
 //
 // Usage:
@@ -46,10 +52,11 @@
 //	collectd -addr 127.0.0.1:7600 -out ./corpora
 //	collectd -store ./store -faults 'corrupt=0.1,drop=0.05,seed=7'
 //	collectd -debug-addr 127.0.0.1:7601 -serve-analysis
-//	collectd -shards 4 -store ./store -store-format seg
+//	collectd -shards 4 -store ./store
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -82,11 +89,10 @@ func run() error {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7600", "listen address")
 		out          = flag.String("out", ".", "directory for per-app corpus dumps on shutdown")
-		storeDir     = flag.String("store", "", "durable store directory: bundles are persisted as they arrive and reloaded on restart")
-		storeFormat  = flag.String("store-format", "jsonl", "durable store format: 'jsonl' (one JSONL file per app, one fsync per bundle) or 'seg' (segmented binary log with group commit — the fleet-scale format)")
+		storeDir     = flag.String("store", "", "durable store directory: bundles are group-committed to a segmented log as they arrive and reloaded on restart")
 		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID) behind a router; each shard owns its apps' store partition and analyzers (1 = single server, no router)")
 		parallelism  = flag.Int("parallelism", 0, "worker count for the shutdown corpus dump (0 = GOMAXPROCS, 1 = serial)")
-		faultSpec    = flag.String("faults", "", "chaos fault injection on received lines, e.g. 'corrupt=0.1,truncate=0.05,duplicate=0.1,drop=0.05,delay=0.2,seed=7'")
+		faultSpec    = flag.String("faults", "", "chaos fault injection on received frames, e.g. 'corrupt=0.1,truncate=0.05,duplicate=0.1,drop=0.05,delay=0.2,seed=7'")
 		maxLineBytes = flag.Int("max-line-bytes", 0, "reject serialized bundles over this size (0 = default 16 MiB)")
 		maxRecords   = flag.Int("max-records", 0, "reject bundles with more event records than this (0 = default)")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/vars and /debug/pprof on this address ('' = disabled)")
@@ -107,15 +113,6 @@ func run() error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
-	if *storeFormat != "jsonl" && *storeFormat != "seg" {
-		return fmt.Errorf("unknown -store-format %q (want jsonl or seg)", *storeFormat)
-	}
-	newStore := func(dir string) (collect.Store, error) {
-		if *storeFormat == "seg" {
-			return collect.NewSegStore(dir, seglog.Options{})
-		}
-		return collect.NewFileStore(dir)
-	}
 
 	var injector *faults.Injector
 	if *faultSpec != "" {
@@ -127,7 +124,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		logger.Warn("CHAOS MODE: injecting faults on received lines", "spec", *faultSpec)
+		logger.Warn("CHAOS MODE: injecting faults on received frames", "spec", *faultSpec)
 	}
 	// baseOpts are the options every ingest server (the single one, or
 	// each shard) runs with; store and analysis hook are added per shard.
@@ -226,7 +223,7 @@ func run() error {
 			if *shards > 1 {
 				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 			}
-			store, err := newStore(dir)
+			store, err := collect.NewSegStore(dir, seglog.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -282,7 +279,7 @@ func run() error {
 	}
 	health.SetReady(true)
 	logger.Info("listening", "addr", srv.Addr(), "restored_bundles", srv.Count(),
-		"shards", *shards, "store_format", *storeFormat)
+		"shards", *shards)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -309,21 +306,7 @@ func run() error {
 	if injector != nil {
 		logger.Info("injected faults", "stats", injector.Stats().String())
 	}
-	// Per-app dumps are independent files, so they fan out through the
-	// pool; paths log serially afterwards to keep the output readable.
-	appIDs := srv.Apps()
-	type dumpStat struct {
-		path    string
-		bundles int
-	}
-	dumps, err := parallel.Map(*parallelism, len(appIDs), func(i int) (dumpStat, error) {
-		bundles := srv.Bundles(appIDs[i])
-		path := filepath.Join(*out, appIDs[i]+".jsonl")
-		if err := dump(path, bundles); err != nil {
-			return dumpStat{}, fmt.Errorf("%s: %w", appIDs[i], err)
-		}
-		return dumpStat{path: path, bundles: len(bundles)}, nil
-	})
+	dumps, err := dumpCorpus(*out, *parallelism, srv)
 	if err != nil {
 		return err
 	}
@@ -332,15 +315,91 @@ func run() error {
 		flushed += d.bundles
 		logger.Info("wrote corpus dump", "path", d.path, "bundles", d.bundles)
 	}
+	rejected, err := dumpQuarantine(*out, stores)
+	if err != nil {
+		return err
+	}
+	if rejected > 0 {
+		logger.Info("wrote quarantine dump", "path", filepath.Join(*out, quarantineDump), "rejects", rejected)
+	}
 	logger.Info("shutdown complete", "apps_flushed", len(dumps), "bundles_flushed", flushed)
 	return nil
 }
 
-func dump(path string, bundles []*trace.TraceBundle) error {
+// corpusSource is the read side of the ingest server the dump needs.
+type corpusSource interface {
+	Apps() []string
+	Bundles(appID string) []*trace.TraceBundle
+}
+
+type dumpStat struct {
+	path    string
+	bundles int
+}
+
+// dumpCorpus writes each app's bundles to out/<app>.jsonl. App IDs
+// come straight from uploads, so the file name goes through
+// collect.SanitizeAppID: no ID can name a path outside out, and two
+// distinct IDs never share a file. Per-app dumps are independent files,
+// so they fan out through the pool.
+func dumpCorpus(out string, parallelism int, src corpusSource) ([]dumpStat, error) {
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return nil, err
+	}
+	appIDs := src.Apps()
+	return parallel.Map(parallelism, len(appIDs), func(i int) (dumpStat, error) {
+		bundles := src.Bundles(appIDs[i])
+		path := filepath.Join(out, collect.SanitizeAppID(appIDs[i])+".jsonl")
+		f, err := os.Create(path)
+		if err != nil {
+			return dumpStat{}, fmt.Errorf("%s: %w", appIDs[i], err)
+		}
+		err = trace.WriteBundles(f, bundles)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return dumpStat{}, fmt.Errorf("%s: %w", appIDs[i], err)
+		}
+		return dumpStat{path: path, bundles: len(bundles)}, nil
+	})
+}
+
+// quarantineDump is where the shutdown dump lists rejected uploads,
+// relative to -out: one JSON-encoded collect.QuarantineEntry per line.
+const quarantineDump = "quarantine/rejected.jsonl"
+
+// dumpQuarantine writes every reject the stores hold, store by store in
+// arrival order, to out/quarantine/rejected.jsonl and returns how many
+// it wrote. With no rejects it writes nothing.
+func dumpQuarantine(out string, stores []collect.Store) (int, error) {
+	var entries []collect.QuarantineEntry
+	for _, st := range stores {
+		es, err := st.LoadQuarantine()
+		if err != nil {
+			return 0, err
+		}
+		entries = append(entries, es...)
+	}
+	if len(entries) == 0 {
+		return 0, nil
+	}
+	path := filepath.Join(out, quarantineDump)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return 0, err
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer f.Close()
-	return trace.WriteBundles(f, bundles)
+	enc := json.NewEncoder(f)
+	for _, e := range entries {
+		if err = enc.Encode(e); err != nil {
+			break
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return len(entries), err
 }

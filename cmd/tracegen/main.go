@@ -1,6 +1,6 @@
 // Command tracegen generates a synthetic trace corpus for one of the
 // evaluated apps and writes it as JSON-lines bundles, or uploads it to a
-// running collection server (cmd/collectd).
+// running collection server (cmd/collectd) as binenc bundle frames.
 //
 // With -revisions N it instead generates an N-version revision chain
 // of the app (seeded mutation operators, optionally one injected energy
@@ -46,7 +46,6 @@ func run() error {
 		fixed     = flag.Bool("fixed", false, "simulate the fixed app variant")
 		out       = flag.String("out", "-", "output file ('-' for stdout); with -revisions, the per-version file prefix")
 		upload    = flag.String("upload", "", "upload to a collectd address instead of writing a file")
-		binary    = flag.Bool("binary", false, "negotiate the binary columnar wire codec for -upload (falls back to text if the server declines)")
 		revisions = flag.Int("revisions", 0, "generate a version chain of this many versions (including v0) and write one corpus per version to <out>.v<i>.jsonl")
 		regrAt    = flag.Int("regression-at", 0, "inject an energy regression at this chain version (1-based; 0 = clean chain)")
 		regrKind  = flag.String("kind", "", "regression family: hold|loop|hot (default: drawn from the seed)")
@@ -93,11 +92,7 @@ func run() error {
 		}
 		logger.Info("generated corpus", "bundles", len(res.Bundles), "app", app.Name,
 			"impacted_pct", fmt.Sprintf("%.1f", res.ImpactedPercent))
-		var copts []collect.ClientOption
-		if *binary {
-			copts = append(copts, collect.WithBinary())
-		}
-		client := collect.NewClient(*upload, copts...)
+		client := collect.NewClient(*upload)
 		state := collect.PhoneState{Charging: true, OnWiFi: true}
 		if err := client.Upload(state, res.Bundles); err != nil {
 			return fmt.Errorf("upload: %w", err)

@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ import (
 //   - Group commit amortizes durability: with 64 concurrent uploaders
 //     hammering one SegStore-backed server, fsyncs-per-bundle must stay
 //     under 0.25 and throughput at least 5x the per-bundle-Sync
-//     FileStore baseline.
+//     baseline (syncPerBundleStore).
 //   - The whole sharded fleet (router → shards → group-commit log →
 //     per-shard analysis) sustains its floors end to end: every session
 //     accepted exactly once, QPS above floor, p99 report staleness
@@ -52,6 +53,45 @@ func fleetGateSession(i, apps int) *trace.TraceBundle {
 	}
 }
 
+// appender is the one Store method the ingest microbenchmark drives.
+type appender interface {
+	Append(b *trace.TraceBundle) error
+}
+
+// syncPerBundleStore is the per-bundle-fsync baseline the group-commit
+// floor is measured against: one mutex, and per Append one JSON line
+// encoded in one write to the app's file, then one Sync — durability
+// capped at one bundle per fsync latency.
+type syncPerBundleStore struct {
+	dir   string
+	mu    sync.Mutex
+	files map[string]*os.File
+}
+
+func (s *syncPerBundleStore) Append(b *trace.TraceBundle) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.files[b.Event.AppID]
+	if !ok {
+		var err error
+		f, err = os.OpenFile(filepath.Join(s.dir, b.Event.AppID+".jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		s.files[b.Event.AppID] = f
+	}
+	if err := trace.EncodeBundle(f, b); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+func (s *syncPerBundleStore) close() {
+	for _, f := range s.files {
+		f.Close()
+	}
+}
+
 // fleetStoreRun drives Store.Append directly from `uploaders`
 // concurrent appenders — the server's ingest handlers do exactly this
 // once a bundle is validated — and returns the wall time to persist
@@ -59,7 +99,7 @@ func fleetGateSession(i, apps int) *trace.TraceBundle {
 // strategy under test (group commit vs per-bundle Sync) from wire and
 // codec CPU, which on a small runner would otherwise cap the arrival
 // rate below the fsync rate and hide the batching.
-func fleetStoreRun(tb testing.TB, store collect.Store, uploaders int, bundles []*trace.TraceBundle) time.Duration {
+func fleetStoreRun(tb testing.TB, store appender, uploaders int, bundles []*trace.TraceBundle) time.Duration {
 	tb.Helper()
 	per := (len(bundles) + uploaders - 1) / uploaders
 	errs := make([]error, uploaders)
@@ -102,7 +142,7 @@ const (
 )
 
 // ingestSweepEntries measures the group-commit SegStore against the
-// per-bundle-Sync FileStore under the standard 64-uploader load and
+// per-bundle-Sync baseline under the standard 64-uploader load and
 // returns the two BENCH_sweep entries ("ingest/group-commit" and
 // "ingest/sync-per-bundle").
 func ingestSweepEntries(tb testing.TB) []sweepEntry {
@@ -122,11 +162,8 @@ func ingestSweepEntries(tb testing.TB) []sweepEntry {
 	segElapsed := fleetStoreRun(tb, seg, fleetIngestUploaders, bundles)
 	ls := seg.Log().Stats()
 
-	fs, err := collect.NewFileStore(tb.TempDir())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer fs.Close()
+	fs := &syncPerBundleStore{dir: tb.TempDir(), files: make(map[string]*os.File)}
+	defer fs.close()
 	fsElapsed := fleetStoreRun(tb, fs, fleetIngestUploaders, bundles)
 
 	segEntry := sweepEntry{

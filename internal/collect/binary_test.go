@@ -2,11 +2,9 @@ package collect
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,19 +15,19 @@ import (
 
 func charging() PhoneState { return PhoneState{Charging: true, OnWiFi: true} }
 
-// TestBinaryUploadRoundTrip: a WithBinary client negotiates the codec
-// and the server stores the same scrubbed bundles a text upload would.
+// TestBinaryUploadRoundTrip: a client exchanges the hello, frames its
+// bundles, and the server stores them scrubbed and integrity-checked.
 func TestBinaryUploadRoundTrip(t *testing.T) {
 	s := startServer(t)
-	c := NewClient(s.Addr(), WithBinary())
+	c := NewClient(s.Addr())
 	if err := c.Upload(charging(), []*trace.TraceBundle{
 		bundle("k9mail", "alice@example.com", "t1"),
 		bundle("k9mail", "bob@example.com", "t2"),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if c.textOnly.Load() {
-		t.Fatal("client fell back to text against a binary-capable server")
+	if st := c.Stats(); st.Attempts != 1 || st.Acked != 2 {
+		t.Fatalf("client stats = %+v, want both bundles acked on the first connection", st)
 	}
 	got := s.Bundles("k9mail")
 	if len(got) != 2 {
@@ -48,106 +46,75 @@ func TestBinaryUploadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryAndTextBundlesDeduplicate: the same bundle uploaded once
-// per codec is stored exactly once — the content key is codec-blind.
-func TestBinaryAndTextBundlesDeduplicate(t *testing.T) {
-	s := startServer(t)
+// TestNoHelloRejected: a connection that does not open with the hello
+// — e.g. a JSON-lines client — gets exactly one "ERR ?" ack and is
+// closed. A Server quarantines its first bytes, so accepted +
+// duplicated + quarantined still equals messages received; the router
+// has no frame to forward and counts the connection as unrouted.
+func TestNoHelloRejected(t *testing.T) {
+	var jsonLine bytes.Buffer
 	b := bundle("k9mail", "u", "t1")
-	if err := NewClient(s.Addr()).Upload(charging(), []*trace.TraceBundle{b}); err != nil {
+	b.Key = trace.ContentKey(b)
+	if err := trace.EncodeBundle(&jsonLine, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(s.Addr(), WithBinary()).Upload(charging(), []*trace.TraceBundle{b}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Accepted != 1 || st.Duplicated != 1 {
-		t.Fatalf("stats = %+v, want 1 accepted + 1 duplicated", st)
-	}
-}
-
-// fakeTextOnlyServer speaks the pre-binary protocol: every line is
-// either acked OK (valid JSON bundle) or rejected — including the
-// binary hello, which it has never heard of.
-func fakeTextOnlyServer(t *testing.T) (addr string, gotBundles *atomic.Int32, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				sc := bufio.NewScanner(conn)
-				sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-				for sc.Scan() {
-					line := sc.Text()
-					if !strings.HasPrefix(line, "{") {
-						fmt.Fprintf(conn, "ERR ? decode: not json\n")
-						continue
-					}
-					b, err := trace.DecodeBundle(strings.NewReader(line + "\n"))
-					if err != nil {
-						fmt.Fprintf(conn, "ERR ? decode: %v\n", err)
-						continue
-					}
-					n.Add(1)
-					fmt.Fprintf(conn, "OK %s\n", b.Key)
-				}
-			}()
+	// rejectOnce sends a JSON bundle line with no hello and asserts one
+	// ERR ? ack followed by the close.
+	rejectOnce := func(t *testing.T, addr string) {
+		conn := dialAddr(t, addr)
+		if _, err := conn.Write(jsonLine.Bytes()); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	return ln.Addr().String(), &n, func() { ln.Close(); wg.Wait() }
-}
+		r := bufio.NewReader(conn)
+		ack, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(ack, "ERR ? ") || !strings.Contains(ack, helloBinary) {
+			t.Errorf("ack = %q, want ERR ? naming the missing hello", ack)
+		}
+		if extra, err := r.ReadString('\n'); err == nil {
+			t.Errorf("connection survived its rejection: second ack %q", extra)
+		}
+	}
 
-// TestBinaryClientFallsBackToText: against a pre-binary server the
-// hello is rejected, the client finishes the upload in text on the same
-// connection, and never offers the hello again.
-func TestBinaryClientFallsBackToText(t *testing.T) {
-	addr, got, stop := fakeTextOnlyServer(t)
-	defer stop()
-	c := NewClient(addr, WithBinary())
-	if err := c.Upload(charging(), []*trace.TraceBundle{
-		bundle("k9mail", "u1", "t1"),
-		bundle("k9mail", "u2", "t2"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !c.textOnly.Load() {
-		t.Fatal("client did not remember the server is text-only")
-	}
-	if got.Load() != 2 {
-		t.Fatalf("old server ingested %d bundles, want 2", got.Load())
-	}
-	// Second upload must not send the hello again (it would cost one
-	// quarantined line per connection forever).
-	if err := c.Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u3", "t3")}); err != nil {
-		t.Fatal(err)
-	}
-	if got.Load() != 3 {
-		t.Fatalf("old server ingested %d bundles, want 3", got.Load())
-	}
-}
+	t.Run("server", func(t *testing.T) {
+		s := startServer(t)
+		rejectOnce(t, s.Addr())
+		if st := s.Stats(); st.Accepted != 0 || st.Duplicated != 0 || st.Quarantined != 1 {
+			t.Fatalf("stats = %+v, want the connection as 1 quarantined message", st)
+		}
+		entries := s.Quarantine()
+		if len(entries) != 1 || entries[0].Reason != errNoHello.Error() ||
+			!bytes.Equal(entries[0].Line, jsonLine.Bytes()[:len(helloLine)]) {
+			t.Fatalf("quarantine = %+v, want the connection's first bytes with the no-hello reason", entries)
+		}
+		// A hello-speaking client is unaffected.
+		if err := NewClient(s.Addr()).Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u", "t1")}); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Accepted != 1 {
+			t.Fatalf("stats after a framed upload = %+v", st)
+		}
+	})
 
-// TestTextClientAgainstBinaryServer pins the other fallback direction
-// explicitly (the rest of the suite exercises it implicitly).
-func TestTextClientAgainstBinaryServer(t *testing.T) {
-	s := startServer(t)
-	if err := NewClient(s.Addr()).Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u", "t1")}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Accepted != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
+	t.Run("sharded", func(t *testing.T) {
+		ss, _ := startSharded(t, t.TempDir(), 2, nil)
+		before := mRtUnrouted.Value()
+		rejectOnce(t, ss.Addr())
+		if got := mRtUnrouted.Value() - before; got != 1 {
+			t.Errorf("collect_router_unrouted_total rose by %v, want 1", got)
+		}
+		if st := ss.Stats(); st.Accepted != 0 || st.Quarantined != 0 || st.ConnsTotal != 0 {
+			t.Fatalf("stats = %+v, want no shard to see the connection", st)
+		}
+		if err := NewClient(ss.Addr()).Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u", "t1")}); err != nil {
+			t.Fatal(err)
+		}
+		if st := ss.Stats(); st.Accepted != 1 {
+			t.Fatalf("stats after a framed upload = %+v", st)
+		}
+	})
 }
 
 // TestBinaryUploadWithSegStore: the full fleet path — binary wire codec
@@ -168,7 +135,7 @@ func TestBinaryUploadWithSegStore(t *testing.T) {
 		bundle("k9mail", "u2", "t2"),
 		bundle("opengps", "u3", "t1"),
 	}
-	if err := NewClient(s.Addr(), WithBinary()).Upload(charging(), bundles); err != nil {
+	if err := NewClient(s.Addr()).Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Log().Stats(); st.Appends != 3 {
@@ -194,7 +161,7 @@ func TestBinaryUploadWithSegStore(t *testing.T) {
 		t.Fatalf("restarted server reloaded %d bundles, want 3", got)
 	}
 	// Re-upload is a pure duplicate against the reloaded store.
-	if err := NewClient(s2.Addr(), WithBinary()).Upload(charging(), bundles); err != nil {
+	if err := NewClient(s2.Addr()).Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
 	}
 	if st := s2.Stats(); st.Accepted != 0 || st.Duplicated != 3 {
@@ -206,7 +173,7 @@ func TestBinaryUploadWithSegStore(t *testing.T) {
 }
 
 // TestBinaryUploadFaultInjected: corruption, duplication and drops on
-// the binary wire still yield exactly-once ingest, same as text.
+// the wire still yield exactly-once ingest.
 func TestBinaryUploadFaultInjected(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewSegStore(dir, seglog.Options{})
@@ -231,7 +198,7 @@ func TestBinaryUploadFaultInjected(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		bundles = append(bundles, bundle("k9mail", fmt.Sprintf("u%d", i), fmt.Sprintf("t%d", i)))
 	}
-	c := NewClient(s.Addr(), WithBinary(), WithFaults(inj),
+	c := NewClient(s.Addr(), WithFaults(inj),
 		WithRetry(60, time.Millisecond, 4*time.Millisecond), WithJitterSeed(1))
 	if err := c.Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
@@ -246,7 +213,7 @@ func TestBinaryUploadFaultInjected(t *testing.T) {
 	}
 }
 
-// TestQuarantinePersistsInSegStore: rejected lines survive a restart
+// TestQuarantinePersistsInSegStore: rejected uploads survive a restart
 // through the segment log's quarantine records.
 func TestQuarantinePersistsInSegStore(t *testing.T) {
 	dir := t.TempDir()
@@ -282,7 +249,7 @@ func TestQuarantinePersistsInSegStore(t *testing.T) {
 	}
 }
 
-// TestSanitizeAppIDNoCollision is the regression test for the store
+// TestSanitizeAppIDNoCollision is the regression test for the dump
 // filename collision: "a/b" and "a_b" used to share one file.
 func TestSanitizeAppIDNoCollision(t *testing.T) {
 	cases := [][2]string{
@@ -292,44 +259,14 @@ func TestSanitizeAppIDNoCollision(t *testing.T) {
 		{"приложение", "__________"},
 	}
 	for _, c := range cases {
-		if sanitizeAppID(c[0]) == sanitizeAppID(c[1]) {
-			t.Errorf("sanitizeAppID collision: %q and %q -> %q", c[0], c[1], sanitizeAppID(c[0]))
+		if SanitizeAppID(c[0]) == SanitizeAppID(c[1]) {
+			t.Errorf("SanitizeAppID collision: %q and %q -> %q", c[0], c[1], SanitizeAppID(c[0]))
 		}
 	}
-	// Clean IDs keep their historical filenames (store compatibility).
+	// Clean IDs keep their exact names.
 	for _, clean := range []string{"k9mail", "com.example.app", "a_b", "A-1.2_3"} {
-		if got := sanitizeAppID(clean); got != clean {
-			t.Errorf("sanitizeAppID(%q) = %q, want unchanged", clean, got)
+		if got := SanitizeAppID(clean); got != clean {
+			t.Errorf("SanitizeAppID(%q) = %q, want unchanged", clean, got)
 		}
-	}
-}
-
-// TestFileStoreCollisionSeparatesApps drives the collision end to end:
-// two colliding app IDs land in distinct files and reload distinctly.
-func TestFileStoreCollisionSeparatesApps(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range []string{"a/b", "a_b"} {
-		b := bundle(app, "u", "t1")
-		b.Key = trace.ContentKey(b)
-		if err := store.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store.Close()
-	store2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	loaded, _, err := store2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded["a/b"]) != 1 || len(loaded["a_b"]) != 1 {
-		t.Fatalf("loaded = %d/%d bundles for a/b / a_b, want 1/1", len(loaded["a/b"]), len(loaded["a_b"]))
 	}
 }

@@ -2,7 +2,6 @@ package collect
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,7 +22,7 @@ import (
 var (
 	mCliAttempts = obs.Default.Counter("collect_client_attempts_total", "connection attempts (first tries and retries)")
 	mCliRetries  = obs.Default.Counter("collect_client_retries_total", "connection attempts beyond each upload's first")
-	mCliSent     = obs.Default.Counter("collect_client_lines_sent_total", "wire lines written, including injected duplicates and resends")
+	mCliSent     = obs.Default.Counter("collect_client_lines_sent_total", "bundle frames written, including injected duplicates and resends")
 	mCliAcked    = obs.Default.Counter("collect_client_bundles_acked_total", "bundles acknowledged OK by the server")
 	mCliRejected = obs.Default.Counter("collect_client_bundles_rejected_total", "bundles rejected by the server with retries exhausted")
 	hCliBackoff  = obs.Default.Histogram("collect_client_backoff_seconds", "sleep before each retry attempt", nil)
@@ -73,8 +72,6 @@ type Client struct {
 	injector    *faults.Injector
 	tracer      *obs.Tracer         // optional span sink for upload attempts
 	ackObs      func(time.Duration) // optional per-bundle ack latency sink
-	binary      bool                // offer the binary codec on each connection
-	textOnly    atomic.Bool         // server declined the hello; stop offering
 
 	// Lock-free upload counters (see ClientStats).
 	attempts, linesSent, acked, rejected atomic.Int64
@@ -88,8 +85,8 @@ type Client struct {
 type ClientStats struct {
 	// Attempts is the count of connection attempts across all uploads.
 	Attempts int64
-	// LinesSent is the count of wire lines written, including injected
-	// duplicates and retried resends.
+	// LinesSent is the count of bundle frames written, including
+	// injected duplicates and retried resends.
 	LinesSent int64
 	// Acked is the count of bundles acknowledged OK.
 	Acked int64
@@ -164,24 +161,20 @@ func WithAckObserver(obs func(time.Duration)) ClientOption {
 	return func(c *Client) { c.ackObs = obs }
 }
 
-// WithFaults attaches a fault injector to the upload path: wire lines
-// may be corrupted, truncated, duplicated or dropped, batches may be
-// reordered, and sends may be delayed, exactly as an unreliable network
-// would. Used by the soak tests and chaos tooling; production clients
-// leave it nil.
+// WithFaults attaches a fault injector to the upload path: bundle
+// frames may be corrupted, truncated, duplicated or dropped, batches
+// may be reordered, and sends may be delayed, exactly as an unreliable
+// network would. Used by the soak tests and chaos tooling; production
+// clients leave it nil.
 func WithFaults(in *faults.Injector) ClientOption {
 	return func(c *Client) { c.injector = in }
 }
 
-// WithBinary makes the client offer the binary columnar codec on each
-// connection (hello "EDX1 bin"). A server that echoes the hello gets
-// length-prefixed CRC-framed binenc bundles — smaller on the wire and
-// cheaper to decode; one that rejects it (any pre-binary server
-// quarantines the hello as an undecodable line) flips the client into
-// text mode for the rest of its life, so a binary-capable phone talking
-// to an old backend just ingests via JSON as before.
+// WithBinary once selected the binary columnar codec over JSON lines.
+//
+// Deprecated: binenc is the only framing.
 func WithBinary() ClientOption {
-	return func(c *Client) { c.binary = true }
+	return func(*Client) {}
 }
 
 // NewClient creates a client for the server at addr.
@@ -208,26 +201,9 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 
 // wireBundle is one bundle prepared for upload.
 type wireBundle struct {
-	orig     int                // index in the caller's slice, for error reporting
-	key      string             // idempotent content key
-	scrubbed *trace.TraceBundle // scrubbed, key-stamped bundle
-	line     []byte             // serialized JSON line (no trailing newline), encoded on first text-mode use
-	payload  []byte             // binenc payload, prepared when the binary codec is offered
-}
-
-// textLine returns (encoding on first use) the bundle's JSON wire line.
-// Lazy so a binary-mode upload never pays for the text fallback it does
-// not send; the line is still encoded exactly once if the server turns
-// out to speak text only.
-func (wb *wireBundle) textLine() ([]byte, error) {
-	if wb.line == nil {
-		var buf bytes.Buffer
-		if err := trace.EncodeBundle(&buf, wb.scrubbed); err != nil {
-			return nil, err
-		}
-		wb.line = bytes.TrimRight(buf.Bytes(), "\n")
-	}
-	return wb.line, nil
+	orig    int    // index in the caller's slice, for error reporting
+	key     string // idempotent content key
+	payload []byte // binenc payload of the scrubbed, key-stamped bundle
 }
 
 // Upload scrubs, stamps and sends the bundles if the phone state allows
@@ -243,20 +219,14 @@ func (c *Client) Upload(state PhoneState, bundles []*trace.TraceBundle) error {
 		return nil
 	}
 	wire := make([]wireBundle, len(bundles))
-	useBinary := c.binary && !c.textOnly.Load()
 	for i, b := range bundles {
 		scrubbed := trace.ScrubBundle(b) // PII never leaves the phone
 		scrubbed.Key = trace.ContentKey(scrubbed)
-		wire[i] = wireBundle{orig: i, key: scrubbed.Key, scrubbed: scrubbed}
-		if useBinary {
-			payload, err := binenc.EncodeBundle(nil, scrubbed)
-			if err != nil {
-				return fmt.Errorf("collect: binary encode bundle %d: %w", i, err)
-			}
-			wire[i].payload = payload
-		} else if _, err := wire[i].textLine(); err != nil {
+		payload, err := binenc.EncodeBundle(nil, scrubbed)
+		if err != nil {
 			return fmt.Errorf("collect: encode bundle %d: %w", i, err)
 		}
+		wire[i] = wireBundle{orig: i, key: scrubbed.Key, payload: payload}
 	}
 	if c.injector != nil {
 		perm := c.injector.Perm(len(wire))
@@ -318,9 +288,9 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return d + jitter
 }
 
-// uploadOnce dials, negotiates the codec when the binary one is
-// offered, and sends pending bundles in order until all are
-// acknowledged or one fails, returning how many were acknowledged OK.
+// uploadOnce dials, exchanges the hello, and sends pending bundles in
+// order until all are acknowledged or one fails, returning how many
+// were acknowledged OK.
 func (c *Client) uploadOnce(pending []wireBundle) (acked int, err error) {
 	conn, err := c.dial(c.addr, c.timeout)
 	if err != nil {
@@ -329,26 +299,18 @@ func (c *Client) uploadOnce(pending []wireBundle) (acked int, err error) {
 	defer conn.Close()
 	w := newLineWriter(conn)
 	r := newLineReader(conn)
-	useBinary := false
-	if c.binary && !c.textOnly.Load() {
-		if err := conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			return 0, fmt.Errorf("deadline: %w", err)
-		}
-		if err := w.writeLine([]byte(helloBinary)); err != nil {
-			return 0, fmt.Errorf("hello: %w", err)
-		}
-		reply, err := r.readLine()
-		if err != nil {
-			return 0, fmt.Errorf("hello reply: %w", err)
-		}
-		if reply == helloBinary {
-			useBinary = true
-		} else {
-			// A pre-binary server just quarantined the hello and sent an
-			// ERR ack: it speaks text only. Remember that for every
-			// future connection and continue in text on this one.
-			c.textOnly.Store(true)
-		}
+	if err := conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
+		return 0, fmt.Errorf("deadline: %w", err)
+	}
+	if err := w.writeLine([]byte(helloBinary)); err != nil {
+		return 0, fmt.Errorf("hello: %w", err)
+	}
+	reply, err := r.readLine()
+	if err != nil {
+		return 0, fmt.Errorf("hello reply: %w", err)
+	}
+	if reply != helloBinary {
+		return 0, fmt.Errorf("hello reply: got %q, want %q", reply, helloBinary)
 	}
 	for i := range pending {
 		wb := &pending[i]
@@ -360,34 +322,22 @@ func (c *Client) uploadOnce(pending []wireBundle) (acked int, err error) {
 		if c.ackObs != nil {
 			sendStart = time.Now()
 		}
-		msg := wb.payload
-		if !useBinary {
-			if msg, err = wb.textLine(); err != nil {
-				return acked, fmt.Errorf("encode bundle %d: %w", wb.orig, err)
-			}
-		}
-		msgs := [][]byte{msg}
+		msgs := [][]byte{wb.payload}
 		if c.injector != nil {
 			if d := c.injector.Delay(); d > 0 {
 				c.sleep(d)
 			}
 			var drop bool
-			// In binary mode faults hit the frame payload before its CRC
-			// is computed, so corruption reaches the server's decoder and
-			// integrity checks (not just the framing layer) — same
-			// adversarial surface the text path exercises.
-			msgs, drop = c.injector.Apply(msg)
+			// Faults hit the frame payload before its CRC is computed,
+			// so corruption reaches the server's decoder and integrity
+			// checks, not just the framing layer.
+			msgs, drop = c.injector.Apply(wb.payload)
 			if drop {
 				return acked, errors.New("connection dropped (injected)")
 			}
 		}
 		for _, m := range msgs {
-			if useBinary {
-				err = w.writeFrame(m)
-			} else {
-				err = w.writeLine(m)
-			}
-			if err != nil {
+			if err := w.writeFrame(m); err != nil {
 				return acked, fmt.Errorf("send bundle %d: %w", wb.orig, err)
 			}
 			c.linesSent.Add(1)
@@ -407,7 +357,7 @@ func (c *Client) uploadOnce(pending []wireBundle) (acked int, err error) {
 }
 
 // awaitAck reads acknowledgements until one addresses wb. Acks carry
-// the bundle's content key, so stale acks caused by duplicated lines
+// the bundle's content key, so stale acks caused by duplicated frames
 // (the server acknowledges every copy) are recognized and skipped
 // instead of desynchronizing the stream.
 func (c *Client) awaitAck(r *lineReader, wb wireBundle) error {
@@ -419,15 +369,15 @@ func (c *Client) awaitAck(r *lineReader, wb wireBundle) error {
 		status, key, reason := parseAck(ack)
 		switch status {
 		case ackOK:
-			if key == "" || key == wb.key {
+			if key == wb.key {
 				return nil
 			}
-			continue // stale ack for an earlier (duplicated) line
+			continue // stale ack for an earlier (duplicated) frame
 		case ackErr:
-			if key == "" || key == ackUnknownKey || key == wb.key {
+			if key == ackUnknownKey || key == wb.key {
 				return &RejectedError{Index: wb.orig, Reason: reason}
 			}
-			continue // stale rejection of a duplicated line's copy
+			continue // stale rejection of a duplicated frame's copy
 		default:
 			return fmt.Errorf("ack for bundle %d: malformed %q", wb.orig, ack)
 		}
@@ -435,18 +385,20 @@ func (c *Client) awaitAck(r *lineReader, wb wireBundle) error {
 }
 
 // parseAck splits an ack line into status, key and reason. The wire
-// forms are "OK <key>" and "ERR <key> <reason>"; a bare "OK"/"ERR" (no
-// key) is accepted for protocol compatibility.
+// forms are "OK <key>" and "ERR <key> <reason>", where the key is "?"
+// when the server could not read one; an ack without a key is
+// malformed.
 func parseAck(ack string) (status, key, reason string) {
 	status, rest, _ := strings.Cut(strings.TrimSpace(ack), " ")
-	if status != ackOK && status != ackErr {
+	key, reason, _ = strings.Cut(rest, " ")
+	if (status != ackOK && status != ackErr) || key == "" {
 		return "", "", ack
 	}
-	key, reason, _ = strings.Cut(rest, " ")
 	return status, key, reason
 }
 
-// lineReader and lineWriter frame the newline-delimited wire protocol.
+// lineReader reads the newline-delimited hello echo and acks;
+// lineWriter writes the hello line and bundle frames.
 
 type lineReader struct{ r *bufio.Reader }
 
@@ -478,7 +430,7 @@ func (l *lineWriter) writeLine(b []byte) error {
 	return l.w.Flush()
 }
 
-// writeFrame sends one binenc frame (binary mode; no newline framing).
+// writeFrame sends one binenc frame (no newline framing).
 func (l *lineWriter) writeFrame(payload []byte) error {
 	if err := binenc.WriteFrame(l.w, payload); err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/collect/seglog"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/trace"
@@ -74,7 +75,7 @@ func TestFullPipelineOverNetwork(t *testing.T) {
 // concurrent clients push a corpus through a fault injector that
 // corrupts, truncates, duplicates and drops well over 10% of the wire
 // traffic, and the system must converge to the exact fault-free state —
-// every bundle stored exactly once, every mangled line quarantined, and
+// every bundle stored exactly once, every mangled frame quarantined, and
 // the analysis report byte-identical to the one computed without any
 // faults. The injectors and jitter RNGs are seeded, so the fault
 // schedule (and therefore the test) is deterministic.
@@ -108,11 +109,11 @@ func TestSoakFaultInjectedConvergence(t *testing.T) {
 	goldenReport := soakReport(t, golden, corpus.ImpactedPercent)
 
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", WithFileStore(store))
+	srv, err := NewServer("127.0.0.1:0", WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +179,10 @@ func TestSoakFaultInjectedConvergence(t *testing.T) {
 	if srv.Count() != len(corpus.Bundles) {
 		t.Fatalf("server stores %d bundles, want exactly %d", srv.Count(), len(corpus.Bundles))
 	}
-	// Every mangled line was quarantined, never stored. (A corrupted
-	// byte can become a newline and split one line into several
-	// rejected fragments, so the count is a floor, not an equality.)
+	// Every mangled frame was quarantined, never stored.
 	qcount := srv.QuarantineCount()
 	if qcount < total.Corrupted+total.Truncated {
-		t.Errorf("quarantined %d lines, want at least %d (corrupted %d + truncated %d)",
+		t.Errorf("quarantined %d frames, want at least %d (corrupted %d + truncated %d)",
 			qcount, total.Corrupted+total.Truncated, total.Corrupted, total.Truncated)
 	}
 
@@ -203,12 +202,12 @@ func TestSoakFaultInjectedConvergence(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	srv2, err := NewServer("127.0.0.1:0", WithFileStore(store2))
+	srv2, err := NewServer("127.0.0.1:0", WithStore(store2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,16 +17,13 @@ import (
 )
 
 // TestMetricsReconcileUnderFaults pins the ingestion accounting
-// invariant under chaos: every wire line a client writes is counted
+// invariant under chaos: every bundle frame a client writes is counted
 // exactly once on the server as accepted, duplicated or quarantined, so
 //
 //	sum(client LinesSent) == Accepted + Duplicated + Quarantined
 //
 // holds exactly once the uploads converge. The fault mix is truncate +
-// duplicate + drop — all three preserve line framing. (A corrupt
-// bit-flip can turn a byte into '\n' and split one sent line into two
-// received ones, which is why corruption is exercised in the soak test
-// with a floor assertion instead of exact equality here.)
+// duplicate + drop; corruption is exercised in the soak test.
 func TestMetricsReconcileUnderFaults(t *testing.T) {
 	const (
 		nClients       = 4
@@ -111,7 +108,7 @@ func TestMetricsReconcileUnderFaults(t *testing.T) {
 		acked += cs.Acked
 	}
 	if got := st.Accepted + st.Duplicated + st.Quarantined; got != sent {
-		t.Errorf("accepted %d + duplicated %d + quarantined %d = %d, want %d lines sent",
+		t.Errorf("accepted %d + duplicated %d + quarantined %d = %d, want %d frames sent",
 			st.Accepted, st.Duplicated, st.Quarantined, got, sent)
 	}
 	// Exactly-once storage: every bundle accepted once, re-sends and
@@ -125,7 +122,7 @@ func TestMetricsReconcileUnderFaults(t *testing.T) {
 	if acked < int64(len(corpus.Bundles)) {
 		t.Errorf("clients acked %d bundles, want at least %d", acked, len(corpus.Bundles))
 	}
-	// Without a durable store there are no reload-skipped lines, so the
+	// Without a durable store there are no reload-skipped records, so the
 	// wire counter and the quarantine total agree exactly.
 	if st.Quarantined != int64(srv.QuarantineCount()) {
 		t.Errorf("quarantined counter %d != quarantine count %d", st.Quarantined, srv.QuarantineCount())

@@ -1,7 +1,6 @@
 package collect
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -10,37 +9,37 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collect/seglog"
 	"repro/internal/trace"
+	"repro/internal/trace/binenc"
 )
 
-// wireLine serializes a bundle as the client would put it on the wire
-// (scrubbed, key-stamped, newline-terminated).
-func wireLine(t *testing.T, b *trace.TraceBundle) []byte {
+// wirePayload serializes a bundle as the client would put it in a
+// frame (scrubbed, key-stamped, binenc-encoded).
+func wirePayload(t *testing.T, b *trace.TraceBundle) []byte {
 	t.Helper()
 	sb := trace.ScrubBundle(b)
 	sb.Key = trace.ContentKey(sb)
-	var buf bytes.Buffer
-	if err := trace.EncodeBundle(&buf, sb); err != nil {
+	payload, err := binenc.EncodeBundle(nil, sb)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return payload
 }
 
 func TestQuarantineKeepsRejectedLines(t *testing.T) {
 	s := startServer(t)
 	conn := dialRaw(t, s)
-	r := bufio.NewReader(conn)
+	r := hello(t, conn)
 
-	garbage := "definitely not json\n"
-	if _, err := conn.Write([]byte(garbage)); err != nil {
-		t.Fatal(err)
-	}
+	garbage := "definitely not a bundle"
+	sendFrame(t, conn, []byte(garbage))
 	ack, err := r.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(ack, "ERR ? ") {
-		t.Errorf("undecodable line acked %q, want ERR with unknown key", ack)
+		t.Errorf("undecodable frame acked %q, want ERR with unknown key", ack)
 	}
 	if s.QuarantineCount() != 1 {
 		t.Fatalf("quarantine count = %d, want 1", s.QuarantineCount())
@@ -49,38 +48,37 @@ func TestQuarantineKeepsRejectedLines(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("quarantine holds %d entries, want 1", len(entries))
 	}
-	if string(entries[0].Line) != strings.TrimSuffix(garbage, "\n") {
-		t.Errorf("quarantined line = %q, want the offending bytes", entries[0].Line)
+	if string(entries[0].Line) != garbage {
+		t.Errorf("quarantined payload = %q, want the offending bytes", entries[0].Line)
 	}
 	if !strings.Contains(entries[0].Reason, "decode") {
 		t.Errorf("reason = %q, want a decode error", entries[0].Reason)
 	}
 	if s.Count() != 0 {
-		t.Error("rejected line reached the store")
+		t.Error("rejected frame reached the store")
 	}
 }
 
 func TestQuarantineOnIntegrityMismatch(t *testing.T) {
 	s := startServer(t)
 	conn := dialRaw(t, s)
-	r := bufio.NewReader(conn)
+	r := hello(t, conn)
 
 	// A validly stamped bundle whose content is then altered in a way
-	// that still parses: the server must catch the key mismatch.
-	line := wireLine(t, bundle("app", "u1", "t1"))
-	tampered := bytes.Replace(line, []byte(`"t1"`), []byte(`"t2"`), 1)
-	if bytes.Equal(tampered, line) {
+	// that still decodes (a same-length string swap): the server must
+	// catch the key mismatch.
+	payload := wirePayload(t, bundle("app", "u1", "t1"))
+	tampered := bytes.Replace(payload, []byte("t1"), []byte("t2"), 1)
+	if bytes.Equal(tampered, payload) {
 		t.Fatal("tampering had no effect; test setup broken")
 	}
-	if _, err := conn.Write(tampered); err != nil {
-		t.Fatal(err)
-	}
+	sendFrame(t, conn, tampered)
 	ack, err := r.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(ack, "ERR ") || !strings.Contains(ack, "integrity") {
-		t.Errorf("tampered line acked %q, want an integrity rejection", ack)
+		t.Errorf("tampered frame acked %q, want an integrity rejection", ack)
 	}
 	// The rejection carries the stamped key, so the client (and the
 	// quarantine) can attribute it to the original upload.
@@ -100,12 +98,10 @@ func TestLimitsRejectOversizeAndOverlongTraces(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 
-	// More records than MaxRecords: rejected with a per-line ERR.
+	// More records than MaxRecords: rejected with a per-frame ERR.
 	conn := dialRaw(t, s)
-	r := bufio.NewReader(conn)
-	if _, err := conn.Write(wireLine(t, bundle("app", "u1", "t1"))); err != nil { // 2 records
-		t.Fatal(err)
-	}
+	r := hello(t, conn)
+	sendFrame(t, conn, wirePayload(t, bundle("app", "u1", "t1"))) // 2 records
 	ack, err := r.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
@@ -114,23 +110,20 @@ func TestLimitsRejectOversizeAndOverlongTraces(t *testing.T) {
 		t.Errorf("overlong trace acked %q, want a limit rejection", ack)
 	}
 
-	// A line over MaxLineBytes: quarantined by size class, connection
-	// closed (the scanner cannot resync mid-line).
+	// A frame over MaxLineBytes: quarantined by size class, connection
+	// closed (the next length prefix cannot be trusted).
 	conn2 := dialRaw(t, s)
-	r2 := bufio.NewReader(conn2)
-	huge := append(bytes.Repeat([]byte("x"), 600), '\n')
-	if _, err := conn2.Write(huge); err != nil {
-		t.Fatal(err)
-	}
+	r2 := hello(t, conn2)
+	sendFrame(t, conn2, bytes.Repeat([]byte("x"), 600))
 	ack2, err := r2.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ack2, "byte limit") {
-		t.Errorf("oversize line acked %q, want a byte-limit rejection", ack2)
+	if !strings.HasPrefix(ack2, "ERR ? ") || !strings.Contains(ack2, "size limit") {
+		t.Errorf("oversize frame acked %q, want a size-limit rejection", ack2)
 	}
 	if _, err := r2.ReadString('\n'); err == nil {
-		t.Error("connection survived an oversize line")
+		t.Error("connection survived an oversize frame")
 	}
 	if got := s.QuarantineCount(); got != 2 {
 		t.Errorf("quarantine count = %d, want 2", got)
@@ -147,11 +140,9 @@ func TestBadLineBudgetClosesConnection(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	conn := dialRaw(t, s)
-	r := bufio.NewReader(conn)
+	r := hello(t, conn)
 	for i := 0; i < 3; i++ {
-		if _, err := conn.Write([]byte(fmt.Sprintf("garbage %d\n", i))); err != nil {
-			t.Fatal(err)
-		}
+		sendFrame(t, conn, []byte(fmt.Sprintf("garbage %d", i)))
 	}
 	acks := 0
 	for {
@@ -191,19 +182,17 @@ func TestQuarantineRingIsBounded(t *testing.T) {
 
 func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer("127.0.0.1:0", WithFileStore(store))
+	s, err := NewServer("127.0.0.1:0", WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn := dialRaw(t, s)
-	r := bufio.NewReader(conn)
-	if _, err := conn.Write([]byte("broken line\n")); err != nil {
-		t.Fatal(err)
-	}
+	r := hello(t, conn)
+	sendFrame(t, conn, []byte("broken line"))
 	if _, err := r.ReadString('\n'); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +211,7 @@ func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +223,14 @@ func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 	if len(entries) != 1 || string(entries[0].Line) != "broken line" {
 		t.Fatalf("persisted quarantine = %+v, want the rejected line", entries)
 	}
-	// Load returns only accepted bundles: the quarantine subdirectory
-	// must never be picked up as a corpus file.
+	// Load returns only accepted bundles: quarantine records share the
+	// log but must never be picked up as corpus.
 	loaded, skipped, err := store2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped != 0 {
-		t.Errorf("clean store load skipped %d lines", skipped)
+		t.Errorf("clean store load skipped %d records", skipped)
 	}
 	total := 0
 	for _, bs := range loaded {
@@ -254,40 +243,60 @@ func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 
 func TestStoreLoadToleratesTornTrailingLine(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Append(bundle("app", "u1", "t1")); err != nil {
-		t.Fatal(err)
+	// Stored as the server stores them: scrubbed and key-stamped.
+	acked := trace.ScrubBundle(bundle("app", "u1", "t1"))
+	torn := trace.ScrubBundle(bundle("app", "u2", "t2"))
+	for _, b := range []*trace.TraceBundle{acked, torn} {
+		b.Key = trace.ContentKey(b)
+		if err := store.Append(b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a torn, unterminated partial record.
-	path := filepath.Join(dir, "app.jsonl")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	// Simulate a crash mid-commit of the second bundle: cut the last
+	// segment in the middle of its record, so it was never acked.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments = %v, %v", segs, err)
+	}
+	last := segs[len(segs)-1]
+	fi, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"event":{"appId":"app","rec`); err != nil {
+	const cut = 10
+	if err := os.Truncate(last, fi.Size()-cut); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("torn trailing record must not fail the open: %v", err)
 	}
 	defer store2.Close()
-	loaded, skipped, err := store2.Load()
+	if got := store2.Log().Stats().Truncated; got <= 0 {
+		t.Errorf("truncated %d torn bytes, want the partial record cut", got)
+	}
+	srv, err := NewServer("127.0.0.1:0", WithStore(store2))
 	if err != nil {
-		t.Fatalf("torn trailing line must not fail the load: %v", err)
+		t.Fatalf("server must start over a torn store: %v", err)
 	}
-	if skipped != 1 {
-		t.Errorf("skipped = %d torn lines, want 1", skipped)
+	defer srv.Close()
+	got := srv.Bundles("app")
+	if len(got) != 1 || got[0].Key != acked.Key {
+		t.Fatalf("reloaded %d bundles, want only the 1 acked one", len(got))
 	}
-	if len(loaded["app"]) != 1 {
-		t.Errorf("loaded %d bundles, want the 1 intact one", len(loaded["app"]))
+	// The torn bundle was never acked, so its re-upload is new.
+	if err := NewClient(srv.Addr()).Upload(charging(), []*trace.TraceBundle{torn}); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Accepted != 1 || st.Duplicated != 0 {
+		t.Errorf("re-upload of the torn bundle: stats = %+v, want 1 accepted", st)
 	}
 }

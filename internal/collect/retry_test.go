@@ -101,8 +101,8 @@ func TestClientResumesFromFirstUnacked(t *testing.T) {
 		bundle("app", "u3", "t3"),
 	}
 
-	// A proxy connection that dies after forwarding one bundle's worth
-	// of traffic on the first dial, then behaves.
+	// A proxy connection that dies after forwarding the hello and one
+	// bundle frame on the first dial, then behaves.
 	dials := 0
 	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
 		dials++
@@ -111,7 +111,7 @@ func TestClientResumesFromFirstUnacked(t *testing.T) {
 			return nil, err
 		}
 		if dials == 1 {
-			return &droppingConn{Conn: conn, writesLeft: 1}, nil
+			return &droppingConn{Conn: conn, writesLeft: 2}, nil
 		}
 		return conn, nil
 	}

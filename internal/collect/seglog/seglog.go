@@ -34,8 +34,8 @@
 // next batch — batching emerges from fsync latency itself, with no
 // linger timer, so an idle log still commits a lone record in one
 // fsync's time while 64 concurrent uploaders amortize each fsync over
-// the whole pileup. This replaces the per-bundle Sync-under-one-mutex
-// of the JSONL store, whose throughput was capped at 1/fsync-latency.
+// the whole pileup. A store that Syncs each bundle under one mutex is
+// capped at 1/fsync-latency instead.
 //
 // # Recovery
 //

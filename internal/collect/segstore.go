@@ -10,14 +10,14 @@ import (
 	"repro/internal/trace/binenc"
 )
 
-// SegStore is the fleet-scale Store: accepted bundles land as binenc
-// payloads in a segmented append-only log (internal/collect/seglog),
-// addressed by their dedup key. Appends are group-committed — many
-// concurrent uploads share each fsync — which is what lets ingest
-// throughput scale with connection count instead of being capped at
-// one bundle per fsync latency like the per-app JSONL store.
-// Quarantined lines ride in the same log as typed records, so one
-// directory, one recovery path and one compactor cover everything.
+// SegStore is the collection tier's Store: accepted bundles land as
+// binenc payloads in a segmented append-only log
+// (internal/collect/seglog), addressed by their dedup key. Appends are
+// group-committed — many concurrent uploads share each fsync — which
+// is what lets ingest throughput scale with connection count instead
+// of being capped at one bundle per fsync latency. Quarantined uploads
+// ride in the same log as typed records, so one directory, one
+// recovery path and one compactor cover everything.
 type SegStore struct {
 	log *seglog.Log
 }
@@ -49,8 +49,8 @@ func (s *SegStore) Append(b *trace.TraceBundle) error {
 
 // Load replays every live bundle, keyed by app ID. Bundles whose
 // payloads fail to decode (impossible without disk corruption that
-// also beat the CRC) are skipped and counted like FileStore's torn
-// lines.
+// also beat the CRC) are skipped and counted. A torn tail left by a
+// crash mid-commit never gets here: the log truncates it at open.
 func (s *SegStore) Load() (map[string][]*trace.TraceBundle, int, error) {
 	out := make(map[string][]*trace.TraceBundle)
 	skipped := 0
@@ -72,8 +72,8 @@ func (s *SegStore) Load() (map[string][]*trace.TraceBundle, int, error) {
 	return out, skipped, nil
 }
 
-// AppendQuarantine durably records one rejected line as a quarantine
-// record in the same log.
+// AppendQuarantine durably records one rejected upload as a
+// quarantine record in the same log.
 func (s *SegStore) AppendQuarantine(entry QuarantineEntry) error {
 	data, err := json.Marshal(entry)
 	if err != nil {

@@ -2,14 +2,15 @@
 // upload their event and utilization traces to a backend server "when
 // the smartphone is in charge with WiFi, which is a common practice to
 // upload traces without impacting the normal usage of smartphone"
-// (paper §II-B). Uploads are newline-delimited JSON bundles over TCP,
-// acknowledged per bundle (acks echo the bundle's content key) so a
-// client can resume after a dropped connection without duplicating
-// data.
+// (paper §II-B). An upload connection opens with the "EDX1 bin" hello
+// and then carries length-prefixed, CRC-checked binenc bundle frames
+// over TCP. Each bundle is acknowledged with a newline-terminated text
+// ack that echoes its content key, so a client can resume after a
+// dropped connection without duplicating data.
 //
-// The ingestion path assumes nothing about upload quality: every line
+// The ingestion path assumes nothing about upload quality: every frame
 // is strictly validated (decode, content-key integrity, structural
-// trace invariants, size limits) and rejected lines are kept in a
+// trace invariants, size limits) and rejected uploads are kept in a
 // quarantine — excluded from analysis but available for diagnosis —
 // so one corrupt upload never poisons a corpus or takes down a
 // connection handler.
@@ -21,7 +22,6 @@ package collect
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -46,11 +46,11 @@ import (
 var (
 	mSrvAccepted    = obs.Default.Counter("collect_bundles_accepted_total", "bundles validated and stored")
 	mSrvDuplicated  = obs.Default.Counter("collect_bundles_duplicated_total", "re-uploads deduplicated by content key")
-	mSrvQuarantined = obs.Default.Counter("collect_bundles_quarantined_total", "wire lines rejected into quarantine")
+	mSrvQuarantined = obs.Default.Counter("collect_bundles_quarantined_total", "uploads rejected into quarantine")
 	mSrvBytes       = obs.Default.Counter("collect_bytes_ingested_total", "wire bytes received on the ingest path")
 	mSrvConns       = obs.Default.Counter("collect_connections_total", "client connections accepted")
 	gSrvConnsOpen   = obs.Default.Gauge("collect_connections_open", "client connections currently open")
-	hSrvIngest      = obs.Default.Histogram("collect_ingest_seconds", "per-line validate+store latency", nil)
+	hSrvIngest      = obs.Default.Histogram("collect_ingest_seconds", "per-frame validate+store latency", nil)
 )
 
 const (
@@ -58,7 +58,7 @@ const (
 	ackOK = "OK"
 	// ackErr precedes a rejection; the line is "ERR <key> <reason>".
 	ackErr = "ERR"
-	// ackUnknownKey stands in for the key when a line cannot be decoded.
+	// ackUnknownKey stands in for the key when an upload cannot be decoded.
 	ackUnknownKey = "?"
 )
 
@@ -66,21 +66,22 @@ const (
 const ackErrPrefix = ackErr + " "
 
 // helloBinary is the protocol hello a client sends (and a server
-// echoes) to negotiate the binary columnar codec on a connection. Text
-// clients never send it — a JSON bundle line starts with '{' — and an
-// old server treats it as one undecodable line and rejects it, which
-// the client reads as "speak text", so both fallback directions work
-// with no version handshake beyond this single line. Acks stay
-// newline-delimited text in both modes.
+// echoes) before its first bundle frame. A connection that opens with
+// anything else gets one "ERR ?" ack and is closed. Acks are
+// newline-delimited text.
 const helloBinary = "EDX1 bin"
 
 // helloLine is the hello as it appears on the wire.
 const helloLine = helloBinary + "\n"
 
+// errNoHello is the quarantine reason for a connection that did not
+// open with the hello.
+var errNoHello = errors.New("connection did not open with the " + helloBinary + " hello")
+
 // Limits bounds what one client may ingest. The zero value of any
 // field means its default.
 type Limits struct {
-	// MaxLineBytes bounds one serialized bundle (default 16 MiB).
+	// MaxLineBytes bounds one serialized bundle frame (default 16 MiB).
 	MaxLineBytes int
 	// MaxRecords bounds the event records in one bundle (default 1M).
 	MaxRecords int
@@ -89,7 +90,7 @@ type Limits struct {
 	// MaxBundlesPerConn bounds the bundles one connection may send
 	// (default 10000); beyond it, the connection is closed.
 	MaxBundlesPerConn int
-	// MaxBadLinesPerConn bounds the rejected lines one connection may
+	// MaxBadLinesPerConn bounds the rejected frames one connection may
 	// produce before it is closed (default 100) — a client that only
 	// sends garbage does not get to keep the handler busy forever.
 	MaxBadLinesPerConn int
@@ -131,23 +132,25 @@ func (l Limits) withDefaults() Limits {
 // durable store keeps all of them.
 const maxQuarantineKept = 256
 
-// QuarantineEntry is one rejected wire line, kept for diagnosis and
+// QuarantineEntry is one rejected upload, kept for diagnosis and
 // excluded from analysis.
 type QuarantineEntry struct {
-	// Key is the bundle's stamped content key when the line decoded far
-	// enough to read one, else empty.
+	// Key is the bundle's stamped content key when the frame decoded
+	// far enough to read one, else empty.
 	Key string `json:"key,omitempty"`
 	// Reason is the rejection reason.
 	Reason string `json:"reason"`
-	// Line is the offending wire line as received.
+	// Line is the offending frame payload as received (for a
+	// connection without the hello, its first bytes).
 	Line []byte `json:"line"`
 }
 
 // ServerStats is a snapshot of one server's ingestion counters. Every
-// wire line the server reads lands in exactly one of Accepted,
+// message the server reads — a bundle frame, or the opening bytes of a
+// connection without the hello — lands in exactly one of Accepted,
 // Duplicated or Quarantined, so
 //
-//	Accepted + Duplicated + Quarantined == lines received
+//	Accepted + Duplicated + Quarantined == messages received
 //
 // holds at any quiescent point — the reconciliation invariant the
 // fault-injection integration tests pin.
@@ -157,9 +160,9 @@ type ServerStats struct {
 	// Duplicated is the count of re-uploads recognized by content key
 	// and acknowledged without storing again.
 	Duplicated int64
-	// Quarantined is the count of rejected wire lines. Torn store
-	// lines skipped at reload are excluded (they were never received on
-	// this server's wire); QuarantineCount includes them.
+	// Quarantined is the count of rejected messages. Undecodable store
+	// records skipped at reload are excluded (they were never received
+	// on this server's wire); QuarantineCount includes them.
 	Quarantined int64
 	// BytesIngested is the wire bytes offered to ingestion.
 	BytesIngested int64
@@ -174,7 +177,7 @@ type Server struct {
 	ln       net.Listener
 	store    Store // optional durable store
 	limits   Limits
-	injector *faults.Injector         // optional chaos injector on received lines
+	injector *faults.Injector         // optional chaos injector on received frames
 	tracer   *obs.Tracer              // optional span sink for the ingest path
 	hook     func(*trace.TraceBundle) // optional accepted-bundle hook
 
@@ -206,16 +209,10 @@ type inflight struct {
 // ServerOption configures a server.
 type ServerOption func(*Server)
 
-// WithFileStore persists accepted bundles to a durable store and, at
-// startup, reloads (and deduplicates against) everything the store
-// already holds — so a restarted server continues where it stopped.
-func WithFileStore(store *FileStore) ServerOption {
-	return WithStore(store)
-}
-
-// WithStore is WithFileStore for any Store implementation — in
-// particular SegStore, the group-committing segmented log that the
-// fleet-scale deployment uses.
+// WithStore persists accepted bundles to a durable store (normally a
+// SegStore) and, at startup, reloads (and deduplicates against)
+// everything the store already holds — so a restarted server continues
+// where it stopped.
 func WithStore(store Store) ServerOption {
 	return func(s *Server) { s.store = store }
 }
@@ -226,8 +223,8 @@ func WithLimits(l Limits) ServerOption {
 	return func(s *Server) { s.limits = l }
 }
 
-// WithServerFaults injects faults into received lines before ingestion
-// (chaos testing via collectd's -faults flag): lines may be corrupted,
+// WithServerFaults injects faults into received frames before ingestion
+// (chaos testing via collectd's -faults flag): frames may be corrupted,
 // truncated or duplicated, connections dropped, and ingestion delayed.
 func WithServerFaults(in *faults.Injector) ServerOption {
 	return func(s *Server) { s.injector = in }
@@ -246,7 +243,7 @@ func WithIngestHook(fn func(*trace.TraceBundle)) ServerOption {
 	return func(s *Server) { s.hook = fn }
 }
 
-// WithServerTracer records one span per ingested line ("server.ingest",
+// WithServerTracer records one span per ingested frame ("server.ingest",
 // with "server.quarantine" children for rejects) on tr, exportable as a
 // JSONL trace. Production servers may leave it nil; the ingest-latency
 // histogram on the metrics registry is always populated.
@@ -283,23 +280,21 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 				s.dupes[dedupKey(b)] = struct{}{}
 			}
 		}
-		// Torn trailing lines (crash mid-append) were never acked, so
-		// dropping them is safe; record them for diagnosis.
+		// Undecodable records were never usable; record them for
+		// diagnosis.
 		s.quarCount += skipped
 	}
-	// Live quarantine visibility: the ring and its total used to be
-	// discoverable only post-hoc in quarantine/rejected.jsonl; these
-	// gauges read the newest server's state at scrape time (one server
-	// per process in production).
+	// Live quarantine visibility: these gauges read the newest server's
+	// state at scrape time (one server per process in production).
 	obs.Default.GaugeFunc("collect_quarantine_kept",
-		"quarantined lines currently held in the in-memory ring",
+		"quarantined uploads currently held in the in-memory ring",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.quarantine))
 		})
 	obs.Default.GaugeFunc("collect_quarantine_count",
-		"total lines rejected into quarantine, including rotated-out and reload-skipped ones",
+		"total uploads rejected into quarantine, including rotated-out and reload-skipped ones",
 		func() float64 { return float64(s.QuarantineCount()) })
 	s.handler.Add(1)
 	go s.acceptLoop()
@@ -374,29 +369,32 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 64*1024)
 	w := bufio.NewWriter(conn)
-	// Codec negotiation: a binary client leads with the hello line; a
-	// text client's first bytes are a JSON bundle ('{'), which cannot
-	// collide with it. Real bundle lines are far longer than the hello,
-	// so peeking this much never stalls a live upload.
-	if peek, err := br.Peek(len(helloLine)); err == nil && string(peek) == helloLine {
-		br.Discard(len(helloLine))
-		s.bytesIngested.Add(int64(len(helloLine)))
-		mSrvBytes.Add(int64(len(helloLine)))
-		if _, err := w.WriteString(helloLine); err != nil {
-			return
+	// Peeking at most the hello's length never stalls a live upload: a
+	// client writes the whole hello before waiting for its echo.
+	peek, _ := br.Peek(len(helloLine))
+	s.bytesIngested.Add(int64(len(peek)))
+	mSrvBytes.Add(int64(len(peek)))
+	if string(peek) != helloLine {
+		if len(peek) > 0 { // a connection that sent nothing has nothing to reject
+			s.quarantineLine(peek, "", errNoHello, nil)
+			fmt.Fprintf(w, "%s %s %v\n", ackErr, ackUnknownKey, errNoHello)
+			w.Flush()
 		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		s.handleBinary(br, w)
 		return
 	}
-	s.handleText(br, w)
+	br.Discard(len(helloLine))
+	if _, err := w.WriteString(helloLine); err != nil {
+		return
+	}
+	if err := w.Flush(); err != nil {
+		return
+	}
+	s.handleFrames(br, w)
 }
 
-// handleBinary is the frame loop of a negotiated binary connection:
+// handleFrames is the frame loop of a connection past its hello:
 // length-prefixed CRC-checked binenc frames in, text acks out.
-func (s *Server) handleBinary(br *bufio.Reader, w *bufio.Writer) {
+func (s *Server) handleFrames(br *bufio.Reader, w *bufio.Writer) {
 	bundles, bad := 0, 0
 	for {
 		payload, err := binenc.ReadFrame(br, s.limits.MaxLineBytes)
@@ -404,9 +402,9 @@ func (s *Server) handleBinary(br *bufio.Reader, w *bufio.Writer) {
 			if err == io.EOF {
 				return // clean end of upload
 			}
-			// A torn or corrupt frame cannot be resynced past (the next
-			// length prefix is untrustworthy), so like an over-long text
-			// line this closes the connection; the client retries.
+			// A torn, corrupt or over-long frame cannot be resynced past
+			// (the next length prefix is untrustworthy), so this closes
+			// the connection; the client retries.
 			s.quarantineLine(nil, "", fmt.Errorf("binary framing: %v", err), nil)
 			fmt.Fprintf(w, "%s %s binary framing: %v\n", ackErr, ackUnknownKey, err)
 			w.Flush()
@@ -438,7 +436,7 @@ func (s *Server) handleBinary(br *bufio.Reader, w *bufio.Writer) {
 				sp = s.tracer.Start("server.ingest")
 			}
 			start := time.Now()
-			key, stored, dup, err := s.ingestBinary(p)
+			key, stored, dup, err := s.ingest(p)
 			hSrvIngest.Observe(time.Since(start).Seconds())
 			if !s.ackIngest(w, p, key, stored, dup, err, sp, &bad) {
 				return
@@ -447,66 +445,6 @@ func (s *Server) handleBinary(br *bufio.Reader, w *bufio.Writer) {
 		if err := w.Flush(); err != nil {
 			return
 		}
-	}
-}
-
-// handleText is the newline-delimited JSON loop (the Fig-5 wire format).
-func (s *Server) handleText(br *bufio.Reader, w *bufio.Writer) {
-	sc := bufio.NewScanner(br)
-	// The scanner's max token size is the larger of the cap argument and
-	// the initial buffer, so the initial buffer must not exceed the
-	// configured line limit.
-	sc.Buffer(make([]byte, 0, min(64*1024, s.limits.MaxLineBytes)), s.limits.MaxLineBytes)
-	bundles, bad := 0, 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		bundles++
-		if bundles > s.limits.MaxBundlesPerConn {
-			fmt.Fprintf(w, "%s %s connection bundle limit (%d) exceeded\n",
-				ackErr, ackUnknownKey, s.limits.MaxBundlesPerConn)
-			w.Flush()
-			return
-		}
-		lines := [][]byte{line}
-		if s.injector != nil {
-			if d := s.injector.Delay(); d > 0 {
-				time.Sleep(d)
-			}
-			var drop bool
-			lines, drop = s.injector.Apply(line)
-			if drop {
-				return // injected connection cut; the client retries
-			}
-		}
-		for _, ln := range lines {
-			s.bytesIngested.Add(int64(len(ln)))
-			mSrvBytes.Add(int64(len(ln)))
-			var sp *obs.Span
-			if s.tracer != nil {
-				sp = s.tracer.Start("server.ingest")
-			}
-			start := time.Now()
-			key, stored, dup, err := s.ingest(ln)
-			hSrvIngest.Observe(time.Since(start).Seconds())
-			if !s.ackIngest(w, ln, key, stored, dup, err, sp, &bad) {
-				return
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-	// A line over MaxLineBytes surfaces here as bufio.ErrTooLong. The
-	// scanner cannot resync mid-line, so the connection is closed; the
-	// oversize upload is quarantined by size class (the line itself is
-	// too big to keep).
-	if err := sc.Err(); err != nil {
-		s.quarantineLine(nil, "", fmt.Errorf("line exceeds %d bytes: %w", s.limits.MaxLineBytes, err), nil)
-		fmt.Fprintf(w, "%s %s line exceeds %d byte limit\n", ackErr, ackUnknownKey, s.limits.MaxLineBytes)
-		w.Flush()
 	}
 }
 
@@ -519,7 +457,7 @@ func keyOrUnknown(key string) string {
 
 // ackIngest translates one ingest verdict into counters, quarantine and
 // a (buffered, not yet flushed) ack line. It returns false when the
-// connection has exhausted its bad-line budget and must close.
+// connection has exhausted its bad-frame budget and must close.
 func (s *Server) ackIngest(w *bufio.Writer, raw []byte, key string, stored *trace.TraceBundle, dup bool, err error, sp *obs.Span, bad *int) bool {
 	defer func() {
 		if sp != nil {
@@ -550,20 +488,11 @@ func (s *Server) ackIngest(w *bufio.Writer, raw []byte, key string, stored *trac
 	return true
 }
 
-// ingest validates, scrubs and stores one serialized text bundle,
+// ingest validates, scrubs and stores one bundle frame payload,
 // returning the bundle's stamped key when one could be decoded, the
 // stored (scrubbed) bundle on acceptance, and whether the bundle was a
 // content-key duplicate of an already stored one.
-func (s *Server) ingest(line []byte) (key string, stored *trace.TraceBundle, dup bool, err error) {
-	b, err := trace.DecodeBundle(bytes.NewReader(line))
-	if err != nil {
-		return "", nil, false, fmt.Errorf("decode: %v", err)
-	}
-	return s.ingestBundle(b)
-}
-
-// ingestBinary is ingest for a binary frame payload.
-func (s *Server) ingestBinary(payload []byte) (key string, stored *trace.TraceBundle, dup bool, err error) {
+func (s *Server) ingest(payload []byte) (key string, stored *trace.TraceBundle, dup bool, err error) {
 	b, err := binenc.DecodeBundle(payload)
 	if err != nil {
 		return "", nil, false, fmt.Errorf("decode: %v", err)
@@ -591,8 +520,8 @@ func (s *Server) ingestBinary(payload []byte) (key string, stored *trace.TraceBu
 // verdict, and the ack is only ever sent after durability.
 func (s *Server) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.TraceBundle, dup bool, err error) {
 	key = b.Key
-	// Integrity before anything else: a line altered in flight must not
-	// reach the store even if it still parses.
+	// Integrity before anything else: a bundle altered in flight must
+	// not reach the store even if it still decodes.
 	if err := trace.VerifyContentKey(b); err != nil {
 		return key, nil, false, fmt.Errorf("integrity: %v", err)
 	}
@@ -661,7 +590,7 @@ func (s *Server) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.T
 	return key, scrubbed, false, nil
 }
 
-// quarantineLine records a rejected wire line: bounded in memory,
+// quarantineLine records a rejected upload: bounded in memory,
 // complete in the durable store when one is attached. parent, when
 // non-nil, is the ingest span the rejection belongs under.
 func (s *Server) quarantineLine(line []byte, key string, cause error, parent *obs.Span) {
@@ -690,7 +619,7 @@ func (s *Server) quarantineLine(line []byte, key string, cause error, parent *ob
 	}
 }
 
-// Quarantine returns the most recent quarantined lines (a copy).
+// Quarantine returns the most recent quarantined uploads (a copy).
 func (s *Server) Quarantine() []QuarantineEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -699,7 +628,7 @@ func (s *Server) Quarantine() []QuarantineEntry {
 	return out
 }
 
-// QuarantineCount returns how many lines have been rejected in total.
+// QuarantineCount returns how many uploads have been rejected in total.
 func (s *Server) QuarantineCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,8 +2,6 @@ package collect
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -20,7 +18,7 @@ import (
 // Router metrics: how the fronting tier spreads and degrades.
 var (
 	mRtBundles   = obs.Default.Counter("collect_router_bundles_total", "bundles routed to a shard")
-	mRtUnrouted  = obs.Default.Counter("collect_router_unrouted_total", "lines/frames with no readable app id, routed to shard 0 for quarantine")
+	mRtUnrouted  = obs.Default.Counter("collect_router_unrouted_total", "frames with no readable app id (routed to shard 0 for quarantine) and connections without the hello (rejected)")
 	mRtUpstreams = obs.Default.Counter("collect_router_upstream_conns_total", "upstream shard connections dialed")
 	mRtErrors    = obs.Default.Counter("collect_router_upstream_errors_total", "client connections dropped on an upstream failure")
 )
@@ -43,18 +41,19 @@ func ShardOf(appID string, n int) int {
 // routing listener. Each shard is a full *Server — own store, own
 // dedup state, own ingest hook — and owns every app whose ID hashes to
 // it. The router terminates the upload protocol only far enough to
-// read each bundle's app ID (binenc.FrameHeader on a binary frame, a
-// two-field JSON probe on a text line), forwards the raw bytes to the
-// owning shard over a per-connection upstream, and relays the shard's
-// ack verbatim.
+// read each bundle's app ID (binenc.FrameHeader), forwards the raw
+// frame to the owning shard over a per-connection upstream, and relays
+// the shard's ack verbatim.
 //
 // Exactly-once survives routing because the router adds no state: the
 // bundle's content key travels with the bytes, and the owning shard's
 // dedup map (and durable store) is the same one a retry after a router
-// crash or an upstream failure lands on. A line whose app ID cannot be
-// read is deterministically routed to shard 0, whose validator
+// crash or an upstream failure lands on. A frame whose app ID cannot
+// be read is deterministically routed to shard 0, whose validator
 // quarantines it — rejects stay observable without the router growing
-// its own quarantine.
+// its own quarantine. A connection that does not open with the hello
+// carries no frame to forward: the router answers it with one "ERR ?"
+// ack, counts it in collect_router_unrouted_total and closes it.
 type ShardedServer struct {
 	ln     net.Listener
 	shards []*Server
@@ -135,8 +134,9 @@ func (ss *ShardedServer) Close() error {
 }
 
 // Stats sums the shards' ingestion counters. The reconciliation
-// invariant (accepted + duplicated + quarantined == lines received)
-// holds fleet-wide because it holds per shard.
+// invariant (accepted + duplicated + quarantined == messages received)
+// holds fleet-wide for every frame the router forwards because it
+// holds per shard.
 func (ss *ShardedServer) Stats() ServerStats {
 	var out ServerStats
 	for _, s := range ss.shards {
@@ -175,7 +175,7 @@ func (ss *ShardedServer) Apps() []string {
 	return out
 }
 
-// QuarantineCount sums the shards' rejected-line totals.
+// QuarantineCount sums the shards' rejected-upload totals.
 func (ss *ShardedServer) QuarantineCount() int {
 	n := 0
 	for _, s := range ss.shards {
@@ -216,40 +216,38 @@ func (u *upstream) close() {
 	}
 }
 
-// dialShard opens the upstream to one shard, negotiating the binary
-// codec upstream when the client connection negotiated it downstream —
-// the router never transcodes.
-func (ss *ShardedServer) dialShard(i int, binary bool) (*upstream, error) {
+// dialShard opens the upstream to one shard and exchanges the hello
+// with it; frames then pass through untouched — the router never
+// transcodes.
+func (ss *ShardedServer) dialShard(i int) (*upstream, error) {
 	conn, err := net.Dial("tcp", ss.shards[i].Addr())
 	if err != nil {
 		return nil, err
 	}
 	mRtUpstreams.Inc()
 	u := &upstream{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), w: bufio.NewWriter(conn)}
-	if binary {
-		if _, err := u.w.WriteString(helloLine); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if err := u.w.Flush(); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		echo, err := u.br.ReadString('\n')
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if echo != helloLine {
-			conn.Close()
-			return nil, errors.New("shard did not negotiate binary codec")
-		}
+	if _, err := u.w.WriteString(helloLine); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	if err := u.w.Flush(); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	echo, err := u.br.ReadString('\n')
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	if echo != helloLine {
+		conn.Close()
+		return nil, errors.New("shard did not echo the hello")
 	}
 	return u, nil
 }
 
-// route handles one client connection: negotiate the codec exactly
-// like a Server would, then forward bundle-by-bundle to owning shards.
+// route handles one client connection: check the hello exactly like a
+// Server would, then forward bundle-by-bundle to owning shards.
 func (ss *ShardedServer) route(conn net.Conn) {
 	defer conn.Close()
 	ups := make([]*upstream, len(ss.shards))
@@ -258,9 +256,9 @@ func (ss *ShardedServer) route(conn net.Conn) {
 			u.close()
 		}
 	}()
-	get := func(i int, binary bool) (*upstream, error) {
+	get := func(i int) (*upstream, error) {
 		if ups[i] == nil {
-			u, err := ss.dialShard(i, binary)
+			u, err := ss.dialShard(i)
 			if err != nil {
 				mRtErrors.Inc()
 				return nil, err
@@ -272,18 +270,23 @@ func (ss *ShardedServer) route(conn net.Conn) {
 
 	br := bufio.NewReaderSize(conn, 64*1024)
 	w := bufio.NewWriter(conn)
-	if peek, err := br.Peek(len(helloLine)); err == nil && string(peek) == helloLine {
-		br.Discard(len(helloLine))
-		if _, err := w.WriteString(helloLine); err != nil {
-			return
+	peek, _ := br.Peek(len(helloLine))
+	if string(peek) != helloLine {
+		if len(peek) > 0 {
+			mRtUnrouted.Inc()
+			fmt.Fprintf(w, "%s %s %v\n", ackErr, ackUnknownKey, errNoHello)
+			w.Flush()
 		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		ss.routeBinary(br, w, get)
 		return
 	}
-	ss.routeText(br, w, get)
+	br.Discard(len(helloLine))
+	if _, err := w.WriteString(helloLine); err != nil {
+		return
+	}
+	if err := w.Flush(); err != nil {
+		return
+	}
+	ss.routeFrames(br, w, get)
 }
 
 // forward sends one already-framed message to a shard and relays the
@@ -311,12 +314,12 @@ func forward(up *upstream, w *bufio.Writer, msg []byte) error {
 	return w.Flush()
 }
 
-func (ss *ShardedServer) routeBinary(br *bufio.Reader, w *bufio.Writer, get func(int, bool) (*upstream, error)) {
+func (ss *ShardedServer) routeFrames(br *bufio.Reader, w *bufio.Writer, get func(int) (*upstream, error)) {
 	for {
 		payload, err := binenc.ReadFrame(br, ss.limits.MaxLineBytes)
 		if err != nil {
 			if err != io.EOF {
-				// Same contract as Server.handleBinary: a torn frame
+				// Same contract as Server.handleFrames: a torn frame
 				// cannot be resynced past, so reject and close.
 				fmt.Fprintf(w, "%s %s binary framing: %v\n", ackErr, ackUnknownKey, err)
 				w.Flush()
@@ -329,7 +332,7 @@ func (ss *ShardedServer) routeBinary(br *bufio.Reader, w *bufio.Writer, get func
 		} else {
 			mRtUnrouted.Inc() // shard 0's decoder will quarantine it
 		}
-		up, err := get(shard, true)
+		up, err := get(shard)
 		if err != nil {
 			return
 		}
@@ -337,42 +340,5 @@ func (ss *ShardedServer) routeBinary(br *bufio.Reader, w *bufio.Writer, get func
 		if err := forward(up, w, binenc.AppendFrame(nil, payload)); err != nil {
 			return
 		}
-	}
-}
-
-func (ss *ShardedServer) routeText(br *bufio.Reader, w *bufio.Writer, get func(int, bool) (*upstream, error)) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, min(64*1024, ss.limits.MaxLineBytes)), ss.limits.MaxLineBytes)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		// Routing probe: only the app ID is decoded here; full
-		// validation stays on the owning shard.
-		var probe struct {
-			Event struct {
-				AppID string `json:"appId"`
-			} `json:"event"`
-		}
-		shard := 0
-		if err := json.Unmarshal(line, &probe); err == nil && probe.Event.AppID != "" {
-			shard = ShardOf(probe.Event.AppID, len(ss.shards))
-		} else {
-			mRtUnrouted.Inc()
-		}
-		up, err := get(shard, false)
-		if err != nil {
-			return
-		}
-		mRtBundles.Inc()
-		msg := append(append(make([]byte, 0, len(line)+1), line...), '\n')
-		if err := forward(up, w, msg); err != nil {
-			return
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(w, "%s %s line exceeds %d byte limit\n", ackErr, ackUnknownKey, ss.limits.MaxLineBytes)
-		w.Flush()
 	}
 }

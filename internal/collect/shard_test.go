@@ -1,12 +1,10 @@
 package collect
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -83,19 +81,20 @@ func startSharded(t *testing.T, dir string, n int, extra func(shard int) []Serve
 }
 
 // TestShardedRoutesByApp: every app's bundles land on exactly the shard
-// ShardOf names, in both codecs, and the aggregate views line up.
+// ShardOf names, across separate client connections, and the aggregate
+// views line up.
 func TestShardedRoutesByApp(t *testing.T) {
 	ss, _ := startSharded(t, t.TempDir(), 3, nil)
 	apps := []string{"k9mail", "opengps", "wallabag", "tinfoil"}
-	var textBundles, binBundles []*trace.TraceBundle
+	var first, second []*trace.TraceBundle
 	for i, app := range apps {
-		textBundles = append(textBundles, bundle(app, fmt.Sprintf("ut%d", i), "t1"))
-		binBundles = append(binBundles, bundle(app, fmt.Sprintf("ub%d", i), "t2"))
+		first = append(first, bundle(app, fmt.Sprintf("ut%d", i), "t1"))
+		second = append(second, bundle(app, fmt.Sprintf("ub%d", i), "t2"))
 	}
-	if err := NewClient(ss.Addr()).Upload(charging(), textBundles); err != nil {
+	if err := NewClient(ss.Addr()).Upload(charging(), first); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClient(ss.Addr(), WithBinary()).Upload(charging(), binBundles); err != nil {
+	if err := NewClient(ss.Addr()).Upload(charging(), second); err != nil {
 		t.Fatal(err)
 	}
 	for _, app := range apps {
@@ -126,7 +125,7 @@ func TestShardedRoutesByApp(t *testing.T) {
 }
 
 // TestShardedGarbageQuarantined: an invalid bundle quarantines on the
-// shard that owns its app; a line with no readable app ID routes
+// shard that owns its app; a frame with no readable app ID routes
 // deterministically to shard 0 and quarantines there. Either way the
 // fleet-wide reconciliation invariant holds.
 func TestShardedGarbageQuarantined(t *testing.T) {
@@ -148,25 +147,21 @@ func TestShardedGarbageQuarantined(t *testing.T) {
 	if qc := ss.Shards()[ShardOf("opengps", 3)].QuarantineCount(); qc != 1 {
 		t.Fatalf("owning shard quarantined %d, want 1", qc)
 	}
-	// Raw garbage with no app ID at all: the router sends it to shard 0.
+	// A garbage frame with no app ID at all: the router sends it to
+	// shard 0.
 	before := ss.Shards()[0].QuarantineCount()
-	conn, err := net.Dial("tcp", ss.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "not json at all\n"); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := bufio.NewReader(conn).ReadString('\n')
+	conn := dialAddr(t, ss.Addr())
+	r := hello(t, conn)
+	sendFrame(t, conn, []byte("not a bundle at all"))
+	ack, err := r.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(ack, ackErrPrefix) {
-		t.Fatalf("garbage line acked %q, want ERR", ack)
+		t.Fatalf("garbage frame acked %q, want ERR", ack)
 	}
 	if qc := ss.Shards()[0].QuarantineCount(); qc != before+1 {
-		t.Fatalf("shard 0 quarantined %d, want %d (the unrouted line)", qc, before+1)
+		t.Fatalf("shard 0 quarantined %d, want %d (the unrouted frame)", qc, before+1)
 	}
 	st := ss.Stats()
 	if st.Accepted != 1 || st.Quarantined != 2 {
@@ -175,7 +170,7 @@ func TestShardedGarbageQuarantined(t *testing.T) {
 }
 
 // TestShardedExactlyOnceUnderFaults is the acceptance test: a faulty
-// binary upload through the router ingests exactly once per bundle,
+// upload through the router ingests exactly once per bundle,
 // and the per-app reports from the sharded deployment are
 // byte-identical to a single-shard run over the same upload set.
 func TestShardedExactlyOnceUnderFaults(t *testing.T) {
@@ -207,7 +202,7 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(ss.Addr(), WithBinary(), WithFaults(inj),
+	c := NewClient(ss.Addr(), WithFaults(inj),
 		WithRetry(60, time.Millisecond, 4*time.Millisecond), WithJitterSeed(2))
 	if err := c.Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
@@ -224,7 +219,7 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 	// Baseline: one unsharded server, clean wire, same upload set.
 	baseSvc := newSvc()
 	base := startServer(t, WithIngestHook(baseSvc.Notify))
-	if err := NewClient(base.Addr(), WithBinary()).Upload(charging(), bundles); err != nil {
+	if err := NewClient(base.Addr()).Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,7 +263,7 @@ func TestShardedRestartResumesDedup(t *testing.T) {
 	}
 
 	ss, shutdown := startSharded(t, dir, 3, nil)
-	if err := NewClient(ss.Addr(), WithBinary()).Upload(charging(), bundles); err != nil {
+	if err := NewClient(ss.Addr()).Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
 	}
 	shutdown()
@@ -277,7 +272,7 @@ func TestShardedRestartResumesDedup(t *testing.T) {
 	if got := ss2.Count(); got != 9 {
 		t.Fatalf("restarted fleet reloaded %d bundles, want 9", got)
 	}
-	if err := NewClient(ss2.Addr(), WithBinary()).Upload(charging(), bundles); err != nil {
+	if err := NewClient(ss2.Addr()).Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
 	}
 	if st := ss2.Stats(); st.Accepted != 0 || st.Duplicated != 9 {

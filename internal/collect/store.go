@@ -1,214 +1,43 @@
 package collect
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/trace"
 )
 
 // Store is the durable persistence contract the server writes through:
 // every Append/AppendQuarantine must be durable (fsynced) before it
-// returns, because the server acknowledges the upload on return. Two
-// implementations exist: FileStore (one JSONL file per app, one fsync
-// per bundle) and SegStore (segmented binary log with group commit —
-// the fleet-scale default).
+// returns, because the server acknowledges the upload on return.
+// SegStore, the segmented binary log with group commit, is the
+// implementation the collection tier ships; the interface stays so
+// tests and benchmarks can wrap or replace it.
 type Store interface {
 	// Append durably persists one accepted bundle.
 	Append(b *trace.TraceBundle) error
 	// Load reads every persisted bundle back, keyed by app ID, plus the
-	// count of torn/undecodable records skipped.
+	// count of undecodable records skipped.
 	Load() (map[string][]*trace.TraceBundle, int, error)
-	// AppendQuarantine durably records one rejected wire line.
+	// AppendQuarantine durably records one rejected upload.
 	AppendQuarantine(entry QuarantineEntry) error
-	// LoadQuarantine reads back every quarantined line.
+	// LoadQuarantine reads back every quarantined upload in arrival
+	// order.
 	LoadQuarantine() ([]QuarantineEntry, error)
 	// Close releases the store's file handles.
 	Close() error
 }
 
-// FileStore persists accepted bundles as they arrive: one append-only
-// JSONL file per app under a directory. Each write is flushed before
-// the upload is acknowledged, so an acknowledged bundle survives a
-// server crash; on restart the server reloads the directory and resumes
-// deduplicating against it.
-type FileStore struct {
-	dir string
-
-	mu         sync.Mutex
-	files      map[string]*os.File
-	quarantine *os.File // lazily opened quarantine append handle
-}
-
-// NewFileStore opens (creating if needed) a store directory.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("collect: store dir: %w", err)
-	}
-	return &FileStore{dir: dir, files: make(map[string]*os.File)}, nil
-}
-
-// Append durably appends one bundle to its app's file.
-func (s *FileStore) Append(b *trace.TraceBundle) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.file(b.Event.AppID)
-	if err != nil {
-		return err
-	}
-	if err := trace.EncodeBundle(f, b); err != nil {
-		return fmt.Errorf("collect: store append: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("collect: store sync: %w", err)
-	}
-	return nil
-}
-
-// file returns (opening if needed) the append handle for one app.
-// Callers hold s.mu.
-func (s *FileStore) file(appID string) (*os.File, error) {
-	if f, ok := s.files[appID]; ok {
-		return f, nil
-	}
-	path := filepath.Join(s.dir, sanitizeAppID(appID)+".jsonl")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("collect: store open: %w", err)
-	}
-	s.files[appID] = f
-	return f, nil
-}
-
-// Load reads every persisted bundle back, keyed by app ID. Undecodable
-// lines — e.g. a torn trailing line left by a crash mid-append — are
-// skipped and counted rather than failing the whole store: a torn line
-// was never acknowledged, so dropping it only makes the phone re-upload
-// that bundle. The quarantine subdirectory is not part of the corpus
-// and is never loaded here.
-func (s *FileStore) Load() (map[string][]*trace.TraceBundle, int, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("collect: store load: %w", err)
-	}
-	out := make(map[string][]*trace.TraceBundle)
-	skipped := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			return nil, skipped, fmt.Errorf("collect: store load: %w", err)
-		}
-		err = trace.ScanBundlesLenient(f,
-			func(b *trace.TraceBundle) error {
-				out[b.Event.AppID] = append(out[b.Event.AppID], b)
-				return nil
-			},
-			func(bad trace.BadBundleLine) error {
-				skipped++
-				return nil
-			})
-		f.Close()
-		if err != nil {
-			return nil, skipped, fmt.Errorf("collect: store load %s: %w", e.Name(), err)
-		}
-	}
-	return out, skipped, nil
-}
-
-// quarantineDir is the store subdirectory holding rejected lines. It is
-// excluded from Load, so quarantined data can never re-enter analysis.
-const quarantineDir = "quarantine"
-
-// quarantineFile is the JSONL file of QuarantineEntry records.
-const quarantineFile = "rejected.jsonl"
-
-// AppendQuarantine durably appends one rejected line to the quarantine
-// file for later diagnosis.
-func (s *FileStore) AppendQuarantine(entry QuarantineEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantine == nil {
-		dir := filepath.Join(s.dir, quarantineDir)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("collect: quarantine dir: %w", err)
-		}
-		f, err := os.OpenFile(filepath.Join(dir, quarantineFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("collect: quarantine open: %w", err)
-		}
-		s.quarantine = f
-	}
-	if err := json.NewEncoder(s.quarantine).Encode(entry); err != nil {
-		return fmt.Errorf("collect: quarantine append: %w", err)
-	}
-	if err := s.quarantine.Sync(); err != nil {
-		return fmt.Errorf("collect: quarantine sync: %w", err)
-	}
-	return nil
-}
-
-// LoadQuarantine reads back every quarantined line, for diagnosis
-// tooling. A store with no quarantine returns an empty slice.
-func (s *FileStore) LoadQuarantine() ([]QuarantineEntry, error) {
-	f, err := os.Open(filepath.Join(s.dir, quarantineDir, quarantineFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("collect: quarantine load: %w", err)
-	}
-	defer f.Close()
-	var out []QuarantineEntry
-	dec := json.NewDecoder(f)
-	for {
-		var e QuarantineEntry
-		if err := dec.Decode(&e); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return out, fmt.Errorf("collect: quarantine load: %w", err)
-		}
-		out = append(out, e)
-	}
-}
-
-// Close releases the append handles.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var firstErr error
-	for id, f := range s.files {
-		if err := f.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("collect: store close %s: %w", id, err)
-		}
-		delete(s.files, id)
-	}
-	if s.quarantine != nil {
-		if err := s.quarantine.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("collect: store close quarantine: %w", err)
-		}
-		s.quarantine = nil
-	}
-	return firstErr
-}
-
-// sanitizeAppID keeps store file names path-safe. When sanitization has
-// to change anything, a hash of the original ID is appended so two
-// distinct app IDs can never collide onto one file (e.g. "a/b" and
-// "a_b" both used to map to "a_b.jsonl", silently merging two apps'
-// corpora). IDs that are already clean keep their exact historical
-// name, so existing stores load unchanged.
-func sanitizeAppID(appID string) string {
+// SanitizeAppID turns an app ID into a path-safe file name stem, as
+// collectd's per-app corpus dumps use. App IDs come straight from
+// uploaded bundles, so "../x" must not name a path outside the dump
+// directory. When sanitization has to change anything, a hash of the
+// original ID is appended so two distinct app IDs can never collide
+// onto one file (e.g. "a/b" and "a_b" would otherwise both map to
+// "a_b", silently merging two apps' corpora). IDs that are already
+// clean keep their exact name.
+func SanitizeAppID(appID string) string {
 	mapped := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',

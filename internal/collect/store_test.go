@@ -5,12 +5,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/collect/seglog"
 	"repro/internal/trace"
 )
 
-func TestFileStoreAppendAndLoad(t *testing.T) {
+func TestSegStoreAppendAndLoad(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,6 +20,7 @@ func TestFileStoreAppendAndLoad(t *testing.T) {
 		bundle("k9mail", "u2", "t2"),
 		bundle("opengps", "u1", "t1"),
 	} {
+		b.Key = trace.ContentKey(b)
 		if err := store.Append(b); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -26,7 +28,7 @@ func TestFileStoreAppendAndLoad(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := NewFileStore(dir)
+	reopened, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,43 +38,20 @@ func TestFileStoreAppendAndLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if skipped != 0 {
-		t.Errorf("skipped = %d lines on a clean store", skipped)
+		t.Errorf("skipped = %d records on a clean store", skipped)
 	}
 	if len(loaded["k9mail"]) != 2 || len(loaded["opengps"]) != 1 {
 		t.Errorf("loaded = %d k9, %d gps", len(loaded["k9mail"]), len(loaded["opengps"]))
 	}
 }
 
-func TestFileStoreSanitizesNames(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	evil := bundle("../../etc/passwd", "u", "t")
-	if err := store.Append(evil); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("entries = %d", len(entries))
-	}
-	if filepath.Dir(filepath.Join(dir, entries[0].Name())) != dir {
-		t.Errorf("store escaped its directory: %q", entries[0].Name())
-	}
-}
-
 func TestServerSurvivesRestartWithStore(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", WithFileStore(store))
+	srv, err := NewServer("127.0.0.1:0", WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +71,12 @@ func TestServerSurvivesRestartWithStore(t *testing.T) {
 
 	// "Restart": a fresh server over the same directory sees the old
 	// bundles and deduplicates re-uploads against them.
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	srv2, err := NewServer("127.0.0.1:0", WithFileStore(store2))
+	srv2, err := NewServer("127.0.0.1:0", WithStore(store2))
 	if err != nil {
 		t.Fatal(err)
 	}

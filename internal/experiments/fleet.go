@@ -37,7 +37,7 @@ const (
 	fleetDefaultShards    = 4
 	fleetDefaultUploaders = 64
 	// fleetChunk is how many sessions one Upload call carries: one TCP
-	// connection, one codec negotiation, chunk acks.
+	// connection, one hello exchange, chunk acks.
 	fleetChunk = 100
 	// fleetDebounce is the serving layer's quiet period; report
 	// staleness under sustained load oscillates around it.
@@ -301,7 +301,6 @@ func RunFleet(seed int64) (Result, error) {
 		go func(u, lo, hi int) {
 			defer wg.Done()
 			client := collect.NewClient(ss.Addr(),
-				collect.WithBinary(),
 				collect.WithJitterSeed(seed+int64(u)),
 				collect.WithAckObserver(func(d time.Duration) {
 					ackSamples[u] = append(ackSamples[u], d)

@@ -1,8 +1,8 @@
-// Package binenc implements the binary columnar trace-bundle codec the
-// fleet-scale collection tier negotiates alongside the JSON-lines text
-// format (protocol hello "EDX1 bin"). The same frames serve as the
-// on-disk record format of the segmented bundle log
-// (internal/collect/seglog), so one codec covers wire and disk.
+// Package binenc implements the binary columnar trace-bundle codec:
+// the collection tier's only upload framing (after the protocol hello
+// "EDX1 bin"). The same frames serve as the on-disk record format of
+// the segmented bundle log (internal/collect/seglog), so one codec
+// covers wire and disk.
 //
 // # Frame layout
 //

@@ -16,7 +16,8 @@ import (
 //   - the Fig-5 text format for event traces, one record per line:
 //       28223867 + Lcom/fsck/k9/service/MailService; onDestroy
 //     (timestamp, +/- direction, class, callback), and
-//   - a JSON-lines envelope used by the collection protocol for bundles.
+//   - a JSON-lines envelope for bundles: the on-disk corpus format that
+//     tracegen writes, collectd dumps and energydx reads.
 //
 // # Accepted Fig-5 grammar
 //

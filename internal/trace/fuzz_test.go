@@ -84,7 +84,7 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBundle pins down the JSON-lines wire codec and everything
+// FuzzDecodeBundle pins down the JSON-lines bundle codec and everything
 // the ingestion path runs on a decoded bundle: Validate, ScrubBundle,
 // ContentKey and VerifyContentKey must be panic-free on arbitrary
 // decodable input, the encode/decode round trip must be the identity,
