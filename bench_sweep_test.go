@@ -34,7 +34,10 @@ type sweepEntry struct {
 	Speedup        float64 `json:"speedupVsSerial,omitempty"`
 	SpeedupVsBatch float64 `json:"speedupVsBatch,omitempty"`
 	SpeedupVsInc   float64 `json:"speedupVsIncremental,omitempty"`
-	CacheHitRate   float64 `json:"cacheHitRate,omitempty"`
+	// SpeedupVsMarshal is a report-json entry's speed over the
+	// report-marshal entry of the same corpus size and run.
+	SpeedupVsMarshal float64 `json:"speedupVsMarshal,omitempty"`
+	CacheHitRate     float64 `json:"cacheHitRate,omitempty"`
 	// Ingest-path entries (the group-commit benchmark) report
 	// throughput and durability amortization instead of allocations.
 	QPS             float64 `json:"qps,omitempty"`
@@ -318,6 +321,9 @@ func TestBenchSweepJSON(t *testing.T) {
 	sweepEntries, fits := reanalyzeSweep(t, sweepSizes)
 	report.Entries = append(report.Entries, sweepEntries...)
 	report.Growth = fits
+	encodeEntries, encodeFits := reportEncodeSweep(t, sweepSizes)
+	report.Entries = append(report.Entries, encodeEntries...)
+	report.Growth = append(report.Growth, encodeFits...)
 
 	// Version-chain walk: one delta-fed incremental analyzer across the
 	// whole chain vs a fresh batch Analyze per version. Both stay
@@ -418,28 +424,7 @@ func reanalyzeSweep(tb testing.TB, sizes []int) ([]sweepEntry, []growthFit) {
 		bundles := sweepCorpus(tb, size)
 		n := len(bundles)
 		extra := bundles[n-1]
-		build := func() *core.IncrementalAnalyzer {
-			inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 0)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			for _, b := range bundles[:n-1] {
-				inc.Add(b)
-			}
-			inc.Refresh()
-			if _, err := inc.Report(); err != nil {
-				tb.Fatal(err)
-			}
-			// One warm-up churn cycle so the extra bundle's Step-1
-			// result is in the content-keyed cache before timing.
-			key, _ := inc.Add(extra)
-			inc.Refresh()
-			inc.Remove(key)
-			inc.Refresh()
-			return inc
-		}
-
-		subInc := build()
+		subInc := warmChurnAnalyzer(tb, bundles)
 		sub := timeOne(fmt.Sprintf("reanalyze-after-add/sublinear/%d", n), 1, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -452,7 +437,7 @@ func reanalyzeSweep(tb testing.TB, sizes []int) ([]sweepEntry, []growthFit) {
 		})
 		sub.CorpusSize = n
 
-		incInc := build()
+		incInc := warmChurnAnalyzer(tb, bundles)
 		inc := timeOne(fmt.Sprintf("reanalyze-after-add/incremental/%d", n), 1, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -478,6 +463,102 @@ func reanalyzeSweep(tb testing.TB, sizes []int) ([]sweepEntry, []growthFit) {
 	fits := []growthFit{
 		{Name: "reanalyze-after-add/sublinear", Sizes: ns, NsPerOp: subNs, Exponent: fitGrowthExponent(ns, subNs)},
 		{Name: "reanalyze-after-add/incremental", Sizes: ns, NsPerOp: incNs, Exponent: fitGrowthExponent(ns, incNs)},
+	}
+	return entries, fits
+}
+
+// warmChurnAnalyzer returns an incremental analyzer over all but the
+// last bundle, reported once, after one warm-up churn cycle of the last
+// bundle so its Step-1 result is in the content-keyed cache before
+// timing.
+func warmChurnAnalyzer(tb testing.TB, bundles []*trace.TraceBundle) *core.IncrementalAnalyzer {
+	tb.Helper()
+	n := len(bundles)
+	inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, b := range bundles[:n-1] {
+		inc.Add(b)
+	}
+	inc.Refresh()
+	if _, _, err := inc.ReportJSON(); err != nil {
+		tb.Fatal(err)
+	}
+	key, _ := inc.Add(bundles[n-1])
+	inc.Refresh()
+	inc.Remove(key)
+	inc.Refresh()
+	return inc
+}
+
+// reportEncodeSweep times what a serving-layer flush pays to turn one
+// more bundle into served bytes, at each corpus size, two ways in the
+// same run:
+//
+//   - reanalyze-after-add/report-marshal/N: Add + Report + json.Marshal,
+//     encoding the whole report on every flush.
+//   - reanalyze-after-add/report-json/N: Add + ReportJSON, which encodes
+//     only the per-trace fragments the refresh dropped.
+//
+// Both end each iteration with Remove + Refresh so every iteration sees
+// the same corpus, and both fit growth exponents across sizes.
+func reportEncodeSweep(tb testing.TB, sizes []int) ([]sweepEntry, []growthFit) {
+	tb.Helper()
+	var entries []sweepEntry
+	ns := make([]int, 0, len(sizes))
+	marshalNs := make([]int64, 0, len(sizes))
+	jsonNs := make([]int64, 0, len(sizes))
+	for _, size := range sizes {
+		bundles := sweepCorpus(tb, size)
+		n := len(bundles)
+		extra := bundles[n-1]
+
+		mInc := warmChurnAnalyzer(tb, bundles)
+		marshal := timeOne(fmt.Sprintf("reanalyze-after-add/report-marshal/%d", n), 1, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key, _ := mInc.Add(extra)
+				r, err := mInc.Report()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := json.Marshal(r); err != nil {
+					b.Fatal(err)
+				}
+				mInc.Remove(key)
+				mInc.Refresh()
+			}
+		})
+		marshal.CorpusSize = n
+
+		jInc := warmChurnAnalyzer(tb, bundles)
+		enc := timeOne(fmt.Sprintf("reanalyze-after-add/report-json/%d", n), 1, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key, _ := jInc.Add(extra)
+				if _, _, err := jInc.ReportJSON(); err != nil {
+					b.Fatal(err)
+				}
+				jInc.Remove(key)
+				jInc.Refresh()
+			}
+		})
+		enc.CorpusSize = n
+		if enc.NsPerOp > 0 {
+			enc.SpeedupVsMarshal = float64(marshal.NsPerOp) / float64(enc.NsPerOp)
+		}
+
+		entries = append(entries, marshal, enc)
+		ns = append(ns, n)
+		marshalNs = append(marshalNs, marshal.NsPerOp)
+		jsonNs = append(jsonNs, enc.NsPerOp)
+	}
+	fits := []growthFit{
+		{Name: "reanalyze-after-add/report-marshal", Sizes: ns, NsPerOp: marshalNs, Exponent: fitGrowthExponent(ns, marshalNs)},
+		{Name: "reanalyze-after-add/report-json", Sizes: ns, NsPerOp: jsonNs, Exponent: fitGrowthExponent(ns, jsonNs)},
 	}
 	return entries, fits
 }

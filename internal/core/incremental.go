@@ -323,10 +323,22 @@ func (ia *IncrementalAnalyzer) CacheStats() CacheStats {
 // them, byte for byte. The returned report is detached from analyzer
 // state — its traces are deep copies — so callers may hold or mutate it
 // indefinitely (a served report outliving many re-analyses) without
-// corrupting later reports.
+// corrupting later reports. Report does no JSON encoding work;
+// ReportJSON is the serving variant that also returns the encoded
+// report.
 func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	ia.mu.Lock()
 	defer ia.mu.Unlock()
+	report, _, err := ia.reportLocked()
+	return report, err
+}
+
+// reportLocked is Report's body. Besides the report it returns the
+// analyzed entries in corpus order, parallel to report.Traces, which
+// ReportJSON encodes from; entries is nil when the report came from the
+// full-replay fallback, whose traces have no cached entries. Callers
+// hold ia.mu.
+func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	start := time.Now()
 	tr := ia.a.cfg.Tracer
 	if tr == nil {
@@ -338,13 +350,14 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	if len(ia.bundles) == 0 {
 		s1.End()
 		root.End()
-		return nil, ErrNoTraces
+		return nil, nil, ErrNoTraces
 	}
 	if ia.cs.tainted > 0 {
 		// Non-finite powers cannot live in the summaries; replay the
 		// full batch finish so degenerate corpora keep the batch
 		// pipeline's exact error behavior.
-		return ia.reportFullLocked(start, root, s1)
+		report, err := ia.reportFullLocked(start, root, s1)
+		return report, nil, err
 	}
 	rec1 := s1.End()
 
@@ -361,7 +374,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 		e := ia.cs.entries[key]
 		if e.err != nil {
 			if !ia.a.cfg.SkipInvalidTraces {
-				return nil, fmt.Errorf("trace %d (%s): %w", idx, e.traceID, e.err)
+				return nil, nil, fmt.Errorf("trace %d (%s): %w", idx, e.traceID, e.err)
 			}
 			skipped = append(skipped, SkippedTrace{Index: idx, TraceID: e.traceID, Reason: e.err.Error()})
 			idx++
@@ -371,7 +384,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 		idx++
 	}
 	if len(entries) == 0 {
-		return nil, fmt.Errorf("core: all %d traces invalid (first: %s)", len(ia.bundles), skipped[0].Reason)
+		return nil, nil, fmt.Errorf("core: all %d traces invalid (first: %s)", len(ia.bundles), skipped[0].Reason)
 	}
 
 	// Step 2: re-rank only traces whose key multisets changed.
@@ -403,7 +416,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	s4 := root.Child("step4.detect")
 	for _, e := range detectDirty {
 		if err := ia.refreshDetect(e); err != nil {
-			return nil, fmt.Errorf("trace %s: %w", e.at.TraceID, err)
+			return nil, nil, fmt.Errorf("trace %s: %w", e.at.TraceID, err)
 		}
 	}
 	rec4 := s4.End()
@@ -450,7 +463,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	mTracesSkipped.Add(int64(len(skipped)))
 	gSkippedLast.Set(float64(len(skipped)))
 	ia.finishReportMetrics(start, len(ia.bundles))
-	return report, nil
+	return report, entries, nil
 }
 
 // finishReportMetrics updates the incremental gauges from the Step-1

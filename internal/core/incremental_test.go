@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -44,6 +46,28 @@ func reportJSON(t *testing.T, r *core.Report) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// assertReportJSON checks one ReportJSON result against want, the
+// batch oracle's json.Marshal bytes: the returned bytes must equal want,
+// and so must json.Marshal of the returned report.
+func assertReportJSON(t *testing.T, what string, rep *core.Report, data []byte, err error, want []byte) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: ReportJSON: %v", what, err)
+	}
+	if !bytes.Equal(data, want) {
+		i := 0
+		for i < len(data) && i < len(want) && data[i] == want[i] {
+			i++
+		}
+		lo := max(i-80, 0)
+		t.Fatalf("%s: ReportJSON bytes diverge from json.Marshal of the batch report at byte %d:\nReportJSON: %.200s\nbatch:      %.200s",
+			what, i, data[lo:], want[lo:])
+	}
+	if got := reportJSON(t, rep); !bytes.Equal(got, want) {
+		t.Fatalf("%s: json.Marshal of ReportJSON's report differs from the batch report", what)
+	}
 }
 
 // mirror is the oracle corpus: the exact ordered bundle slice the
@@ -109,10 +133,21 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 
 			check := func(step int) {
 				t.Helper()
-				got, gotErr := inc.Report()
+				// Alternate which call applies the pending mutations, so
+				// both run the refresh that drops stale fragments.
+				var got, jsonRep *core.Report
+				var gotJSON []byte
+				var gotErr, jsonErr error
+				if step%2 == 0 {
+					jsonRep, gotJSON, jsonErr = inc.ReportJSON()
+					got, gotErr = inc.Report()
+				} else {
+					got, gotErr = inc.Report()
+					jsonRep, gotJSON, jsonErr = inc.ReportJSON()
+				}
 				if len(m.bundles) == 0 {
-					if !errors.Is(gotErr, core.ErrNoTraces) {
-						t.Fatalf("step %d: empty corpus: got %v, want ErrNoTraces", step, gotErr)
+					if !errors.Is(gotErr, core.ErrNoTraces) || !errors.Is(jsonErr, core.ErrNoTraces) {
+						t.Fatalf("step %d: empty corpus: got %v and %v, want ErrNoTraces", step, gotErr, jsonErr)
 					}
 					return
 				}
@@ -128,6 +163,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 					t.Fatalf("step %d: incremental report diverged from batch over %d bundles:\nincremental: %.200s\nbatch:       %.200s",
 						step, len(m.bundles), gj, wj)
 				}
+				assertReportJSON(t, fmt.Sprintf("step %d", step), jsonRep, gotJSON, jsonErr, wj)
 			}
 
 			for step := 0; step < v.mutations; step++ {
@@ -245,13 +281,27 @@ func TestIncrementalSkipInvalidMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: batch: %v", round, err)
 		}
-		if gj, wj := reportJSON(t, got), reportJSON(t, want); !bytes.Equal(gj, wj) {
+		wj := reportJSON(t, want)
+		if gj := reportJSON(t, got); !bytes.Equal(gj, wj) {
 			t.Fatalf("round %d: lenient incremental report diverged from batch", round)
 		}
 		if len(got.Skipped) != 2 {
 			t.Fatalf("round %d: skipped %d traces, want 2", round, len(got.Skipped))
 		}
+		rep, data, err := inc.ReportJSON()
+		assertReportJSON(t, fmt.Sprintf("round %d", round), rep, data, err, wj)
 	}
+	// A retraction after the bytes are cached: the skipped indices and
+	// the surviving fragments must still assemble to the batch bytes.
+	key, _ := inc.Add(pool[3]) // already present: a no-op returning its key
+	inc.Remove(key)
+	rest := []*trace.TraceBundle{pool[0], &bad1, pool[1], &bad2}
+	want, err := batch.Analyze(rest)
+	if err != nil {
+		t.Fatalf("batch after remove: %v", err)
+	}
+	rep, data, err := inc.ReportJSON()
+	assertReportJSON(t, "after remove", rep, data, err, reportJSON(t, want))
 	// Strict mode: both engines must fail on the same bundle.
 	cfg.SkipInvalidTraces = false
 	strictBatch, err := core.NewAnalyzer(cfg)
@@ -273,6 +323,66 @@ func TestIncrementalSkipInvalidMatchesBatch(t *testing.T) {
 	if batchErr.Error() != incErr.Error() {
 		t.Fatalf("strict errors diverge:\nbatch:       %v\nincremental: %v", batchErr, incErr)
 	}
+	rep, data, jsonErr := strictInc.ReportJSON()
+	if rep != nil || data != nil || jsonErr == nil || jsonErr.Error() != batchErr.Error() {
+		t.Fatalf("strict ReportJSON = (%v, %d bytes, %v), want (nil, 0 bytes, %v)", rep, len(data), jsonErr, batchErr)
+	}
+}
+
+// TestReportJSONNonFiniteMatchesMarshal covers the tainted corpus: a
+// device profile with an infinite idle floor makes Step-1 powers
+// non-finite, which moves the analyzer onto the full-replay fallback.
+// ReportJSON must then return exactly what Report followed by
+// json.Marshal returns — the same error, or the same bytes — before and
+// after the tainted trace leaves the corpus.
+func TestReportJSONNonFiniteMatchesMarshal(t *testing.T) {
+	pool := bundlePool(t, 6, 61)
+	devs := device.NewRegistry()
+	devs.Register(device.Profile{Name: "inf-floor", BaseMW: math.Inf(1)})
+	cfg := core.DefaultConfig()
+	cfg.Devices = devs
+	cfg.SkipInvalidTraces = true
+	inc, err := core.NewIncrementalAnalyzer(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pool {
+		inc.Add(b)
+	}
+	if _, _, err := inc.ReportJSON(); err != nil { // warm every fragment
+		t.Fatal(err)
+	}
+	bad := *pool[0]
+	bad.Key = ""
+	bad.Event.TraceID += "-inf"
+	bad.Event.Device = "inf-floor"
+	badKey, _ := inc.Add(&bad)
+
+	for _, phase := range []string{"tainted", "clean again"} {
+		want, wantErr := inc.Report()
+		var wantJSON []byte
+		if wantErr == nil {
+			wantJSON, wantErr = json.Marshal(want)
+		}
+		rep, data, err := inc.ReportJSON()
+		switch {
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() || rep != nil || data != nil {
+				t.Fatalf("%s: ReportJSON = (%v, %d bytes, %v), want error %v", phase, rep, len(data), err, wantErr)
+			}
+		default:
+			assertReportJSON(t, phase, rep, data, err, wantJSON)
+		}
+		if phase == "tainted" {
+			if st := inc.SummaryStats(); st.TaintedTraces != 1 {
+				t.Fatalf("tainted corpus reports %d tainted traces, want 1", st.TaintedTraces)
+			}
+			if wantErr == nil {
+				t.Fatal("a corpus with non-finite powers encoded without error; the case no longer exercises the error path")
+			}
+			inc.Remove(badKey)
+		}
+	}
 }
 
 // TestServedReportDetachedFromAnalyzerState is the regression test for
@@ -290,11 +400,17 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	for _, b := range pool {
 		inc.Add(b)
 	}
-	served, err := inc.Report()
+	served, servedJSON, err := inc.ReportJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := reportJSON(t, served) // snapshot before any mutation
+	if !bytes.Equal(servedJSON, want) {
+		t.Fatal("ReportJSON bytes differ from json.Marshal of its report")
+	}
+	for i := range servedJSON {
+		servedJSON[i] = 'x'
+	}
 
 	// Vandalize everything a handler could leak to a client.
 	if top := served.TopEvents(0); len(top) > 0 {
@@ -327,6 +443,8 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	if got := reportJSON(t, again); !bytes.Equal(got, want) {
 		t.Fatal("mutating a served report changed the next report: analyzer state was aliased")
 	}
+	rep, data, err := inc.ReportJSON()
+	assertReportJSON(t, "after vandalism", rep, data, err, want)
 }
 
 // TestIncrementalConcurrentUse exercises Add/Remove/Report/CacheStats
@@ -349,7 +467,7 @@ func TestIncrementalConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 15; i++ {
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					k := keys[rng.Intn(len(keys))]
 					inc.Remove(k)
@@ -358,6 +476,12 @@ func TestIncrementalConcurrentUse(t *testing.T) {
 					if r, err := inc.Report(); err == nil {
 						if r.TotalTraces != len(r.Traces) {
 							t.Errorf("inconsistent report: TotalTraces %d, traces %d", r.TotalTraces, len(r.Traces))
+						}
+					}
+				case 2:
+					if r, data, err := inc.ReportJSON(); err == nil {
+						if want, _ := json.Marshal(r); !bytes.Equal(data, want) {
+							t.Errorf("ReportJSON bytes differ from json.Marshal of its report under concurrent churn")
 						}
 					}
 				default:

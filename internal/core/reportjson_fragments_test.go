@@ -1,0 +1,113 @@
+package core_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// fragmentCounts reads core_report_fragments_encoded_total per part.
+func fragmentCounts(t *testing.T) (head, rank, tail float64) {
+	t.Helper()
+	read := func(part string) float64 {
+		v, ok := obs.Default.Value(`core_report_fragments_encoded_total{part="` + part + `"}`)
+		if !ok {
+			t.Fatalf("fragment counter for part %q is not registered", part)
+		}
+		return v
+	}
+	return read("head"), read("rank"), read("tail")
+}
+
+// TestReportJSONEncodesOnlyChangedFragments pins the fragment cache's
+// cost model through its counters: a repeat call encodes nothing; one
+// added bundle encodes exactly its own head, rank and tail plus the
+// rank columns of re-ranked traces and the tails of traces whose bases
+// moved — no tail at all for an existing trace when no base moved; a
+// removal encodes no head. A build that quietly re-encodes everything
+// fails here even though its bytes are right.
+func TestReportJSONEncodesOnlyChangedFragments(t *testing.T) {
+	pool := bundlePool(t, 40, 67)
+	inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := len(pool) - 10
+	for _, b := range pool[:warm] {
+		inc.Add(b)
+	}
+	encode := func(what string) (dHead, dRank, dTail float64, st core.SummaryStats) {
+		t.Helper()
+		h0, r0, t0 := fragmentCounts(t)
+		rep, data, err := inc.ReportJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if want := reportJSON(t, rep); !bytes.Equal(data, want) {
+			t.Fatalf("%s: ReportJSON bytes differ from json.Marshal of its report", what)
+		}
+		h1, r1, t1 := fragmentCounts(t)
+		return h1 - h0, r1 - r0, t1 - t0, inc.SummaryStats()
+	}
+
+	if h, r, tl, _ := encode("cold"); h != float64(warm) || r != float64(warm) || tl != float64(warm) {
+		t.Fatalf("cold corpus of %d traces encoded %v heads, %v ranks, %v tails; want %d of each", warm, h, r, tl, warm)
+	}
+	if h, r, tl, _ := encode("repeat"); h != 0 || r != 0 || tl != 0 {
+		t.Fatalf("a repeat call with no mutation encoded %v heads, %v ranks, %v tails; want none", h, r, tl)
+	}
+
+	keys := make([]string, 0, len(pool)-warm)
+	for i, b := range pool[warm:] {
+		key, _ := inc.Add(b)
+		keys = append(keys, key)
+		h, r, tl, st := encode("add")
+		if h != 1 {
+			t.Fatalf("add %d: encoded %v head fragments, want exactly 1", i, h)
+		}
+		if want := float64(1 + st.RankDirtyTraces); r != want {
+			t.Fatalf("add %d: encoded %v rank fragments, want %v (the new trace plus %d re-ranked)", i, r, want, st.RankDirtyTraces)
+		}
+		if want := float64(1 + st.DetectDirtyTraces); tl != want {
+			t.Fatalf("add %d: encoded %v tail fragments, want %v (the new trace plus %d re-detected)", i, tl, want, st.DetectDirtyTraces)
+		}
+	}
+
+	inc.Remove(keys[0])
+	h, r, tl, st := encode("remove")
+	if h != 0 || r != float64(st.RankDirtyTraces) || tl != float64(st.DetectDirtyTraces) {
+		t.Fatalf("remove: encoded %v heads, %v ranks, %v tails; want 0, %d, %d", h, r, tl, st.RankDirtyTraces, st.DetectDirtyTraces)
+	}
+
+	// A corpus of copies of one session under distinct trace IDs: every
+	// key's power multiset holds one repeated value, so one more copy
+	// re-ranks but moves no base, and the only tail encoded is the new
+	// trace's own.
+	inc, err = core.NewIncrementalAnalyzer(core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addCopy := func(i int) {
+		c := *pool[0]
+		c.Key = ""
+		c.Event.TraceID = fmt.Sprintf("%s-copy%d", c.Event.TraceID, i)
+		if _, added := inc.Add(&c); !added {
+			t.Fatalf("copy %d was deduplicated; its trace ID did not change its content key", i)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		addCopy(i)
+	}
+	encode("copies")
+	addCopy(8)
+	h, r, tl, st = encode("one more copy")
+	if st.DetectDirtyTraces != 0 {
+		t.Fatalf("one more copy moved a base (%d traces re-detected); the no-tail case is untested", st.DetectDirtyTraces)
+	}
+	if h != 1 || tl != 1 || r != float64(1+st.RankDirtyTraces) {
+		t.Fatalf("one more copy encoded %v heads, %v ranks, %v tails; want 1, %d, 1", h, r, tl, 1+st.RankDirtyTraces)
+	}
+}

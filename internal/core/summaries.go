@@ -70,6 +70,15 @@ type traceEntry struct {
 	// nonFinite marks a trace whose Step-1 powers contain NaN/Inf; it
 	// taints the corpus onto the full-finish fallback path.
 	nonFinite bool
+
+	// head, rank and tail are the cached JSON fragments of at that
+	// ReportJSON concatenates (reportjson.go); nil means not encoded
+	// since the columns behind it last changed. head covers the Step-1
+	// identity and events, which never change for an applied entry;
+	// refreshRanks drops rank; refreshDetect drops tail. A fragment is
+	// replaced, never mutated, so a report body assembled from one
+	// outlives later refreshes.
+	head, rank, tail []byte
 }
 
 // corpusState is the applied incremental corpus: per-key summaries and
@@ -279,6 +288,7 @@ func (e *traceEntry) baseStale(cs *corpusState) bool {
 func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 	cs := ia.cs
 	at := e.at
+	e.rank = nil
 	// Fresh allocation, mirroring rankAndBase: the master's previous
 	// column may still back an earlier report's clone source.
 	at.Rank = make([]float64, len(at.Events))
@@ -307,6 +317,9 @@ func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 func (ia *IncrementalAnalyzer) refreshDetect(e *traceEntry) error {
 	cs := ia.cs
 	at := e.at
+	// Dropped before detecting: the caller's normalize already rewrote
+	// NormPower, so the tail is stale even when detection fails.
+	e.tail = nil
 	if err := ia.a.detect(at); err != nil {
 		return err
 	}

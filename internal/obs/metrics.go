@@ -27,6 +27,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -77,12 +78,35 @@ func validName(name string) bool {
 	return true
 }
 
-// register installs (or returns the existing) metric under name. A kind
-// clash is a programming error and panics.
-func (r *Registry) register(name, help string, fresh func() metric) metric {
+// mustValidName panics on a name outside the Prometheus charset.
+func mustValidName(name string) {
 	if !validName(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
+}
+
+// validLabelValue admits printable ASCII without the characters the
+// exposition format would have to escape.
+func validLabelValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// familyOf strips a series name's label set: the metric family the
+// exposition groups it under.
+func familyOf(name string) string {
+	family, _, _ := strings.Cut(name, "{")
+	return family
+}
+
+// register installs (or returns the existing) metric under name, which
+// the caller has validated. A kind clash is a programming error and
+// panics.
+func (r *Registry) register(name, help string, fresh func() metric) metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
@@ -100,12 +124,14 @@ func (r *Registry) register(name, help string, fresh func() metric) metric {
 // Counter returns the named monotonically increasing counter,
 // registering it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
+	mustValidName(name)
 	return r.register(name, help, func() metric { return &Counter{helpText: help} }).(*Counter)
 }
 
 // Gauge returns the named gauge (a value that can go up and down),
 // registering it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
+	mustValidName(name)
 	return r.register(name, help, func() metric { return &Gauge{helpText: help} }).(*Gauge)
 }
 
@@ -114,9 +140,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // the same name replaces the callback, so per-run wiring (e.g. a test's
 // server instance) stays simple.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if !validName(name) {
-		panic("obs: invalid metric name " + strconv.Quote(name))
-	}
+	mustValidName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
@@ -136,7 +160,24 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // bounds (nil means DefBuckets), registering it on first use. Bounds
 // must be strictly increasing.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	mustValidName(name)
 	return r.register(name, help, func() metric { return newHistogram(help, buckets) }).(*Histogram)
+}
+
+// CounterWith returns the counter series family{label="value"},
+// registering it on first use. The registry stays name-keyed: each
+// label value is its own series, registered under the full series name
+// (which Value and the JSON export use), and the Prometheus exposition
+// groups a family's series under one HELP/TYPE header. Only counters
+// take labels, which keeps histograms' own le label unambiguous.
+func (r *Registry) CounterWith(family, label, value, help string) *Counter {
+	mustValidName(family)
+	mustValidName(label)
+	if !validLabelValue(value) {
+		panic("obs: invalid label value " + strconv.Quote(value))
+	}
+	name := family + "{" + label + `="` + value + `"}`
+	return r.register(name, help, func() metric { return &Counter{helpText: help} }).(*Counter)
 }
 
 // Value reads the current value of the named scalar metric (counter,
@@ -163,7 +204,8 @@ func (r *Registry) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// snapshot returns the metrics sorted by name.
+// snapshot returns the metrics sorted by family, then by series name,
+// so a labeled family's series are adjacent.
 func (r *Registry) snapshot() (names []string, metrics []metric) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -171,7 +213,12 @@ func (r *Registry) snapshot() (names []string, metrics []metric) {
 	for name := range r.metrics {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	sort.Slice(names, func(i, j int) bool {
+		if fi, fj := familyOf(names[i]), familyOf(names[j]); fi != fj {
+			return fi < fj
+		}
+		return names[i] < names[j]
+	})
 	metrics = make([]metric, len(names))
 	for i, name := range names {
 		metrics[i] = r.metrics[name]
@@ -180,16 +227,21 @@ func (r *Registry) snapshot() (names []string, metrics []metric) {
 }
 
 // WritePrometheus renders every metric in the Prometheus text
-// exposition format (version 0.0.4), sorted by name.
+// exposition format (version 0.0.4), sorted by name, with one HELP/TYPE
+// header per family.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	names, metrics := r.snapshot()
+	prev := ""
 	for i, name := range names {
 		m := metrics[i]
-		if h := m.help(); h != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", name, h)
+		if family := familyOf(name); family != prev {
+			if h := m.help(); h != "" {
+				fmt.Fprintf(bw, "# HELP %s %s\n", family, h)
+			}
+			fmt.Fprintf(bw, "# TYPE %s %s\n", family, m.kind())
+			prev = family
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", name, m.kind())
 		m.writeProm(bw, name)
 	}
 	return bw.Flush()

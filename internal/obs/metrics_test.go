@@ -236,3 +236,47 @@ func TestGaugeFuncReplace(t *testing.T) {
 		t.Errorf("re-registered gauge func not replaced:\n%s", buf.String())
 	}
 }
+
+func TestCounterWithLabels(t *testing.T) {
+	r := NewRegistry()
+	r.CounterWith("test_parts_total", "part", "tail", "parts encoded").Add(2)
+	r.CounterWith("test_parts_total", "part", "head", "parts encoded").Inc()
+	if a, b := r.CounterWith("test_parts_total", "part", "head", ""), r.CounterWith("test_parts_total", "part", "head", ""); a != b {
+		t.Error("re-registering the same series returned a different instance")
+	}
+	r.Counter("test_parts_totals", "a longer family name").Inc()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP test_parts_total parts encoded
+# TYPE test_parts_total counter
+test_parts_total{part="head"} 1
+test_parts_total{part="tail"} 2
+# HELP test_parts_totals a longer family name
+# TYPE test_parts_totals counter
+test_parts_totals 1
+`
+	if got := buf.String(); got != want {
+		t.Errorf("Prometheus text mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if v, ok := r.Value(`test_parts_total{part="tail"}`); !ok || v != 2 {
+		t.Errorf("Value of a labeled series = %v, %v; want 2, true", v, ok)
+	}
+	for _, bad := range [][3]string{{"test_total", "has space", "v"}, {"test_total", "part", `quo"te`}, {"test_total", "part", "new\nline"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("series %q did not panic", bad)
+				}
+			}()
+			r.CounterWith(bad[0], bad[1], bad[2], "")
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a label set in a histogram name did not panic")
+		}
+	}()
+	r.Histogram(`test_seconds{part="head"}`, "", nil)
+}

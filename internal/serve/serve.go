@@ -440,14 +440,27 @@ func (s *Service) Flush() {
 
 	for _, j := range jobs {
 		start := time.Now()
-		report, err := j.st.inc.Report() // analyzer-internal locking; s.mu not held
-		wall := time.Since(start)
+		// Analyzer-internal locking; s.mu not held. The body, its hash
+		// and the summary are computed before taking s.mu, so Notify on
+		// the ack path never waits behind them.
+		report, data, err := j.st.inc.ReportJSON()
+		analyzedAt := time.Now()
+		wall := analyzedAt.Sub(start)
 		mAnalyses.Inc()
 		hAnalysis.Observe(wall.Seconds())
 		cs := j.st.inc.CacheStats()
+		var snap Snapshot
+		if err == nil {
+			snap = Snapshot{
+				ETag:       etagFor(data),
+				AnalyzedAt: analyzedAt.UTC().Format(time.RFC3339Nano),
+				WallMillis: float64(wall) / float64(time.Millisecond),
+				Summary:    report.Summarize(s.cfg.TopKeys),
+			}
+		}
 		s.mu.Lock()
 		j.st.analyses++
-		j.st.analyzedAt = time.Now()
+		j.st.analyzedAt = analyzedAt
 		j.st.lastWall = wall
 		if err != nil {
 			j.st.lastErr = err.Error()
@@ -456,16 +469,8 @@ func (s *Service) Flush() {
 			s.cfg.Logger.Error("re-analysis failed", "app", j.app, "err", err)
 			continue
 		}
-		data, merr := json.Marshal(report)
-		if merr != nil {
-			j.st.lastErr = merr.Error()
-			s.mu.Unlock()
-			mErrors.Inc()
-			s.cfg.Logger.Error("report serialization failed", "app", j.app, "err", merr)
-			continue
-		}
 		j.st.lastErr = ""
-		snap := s.installLocked(j.st, report, data, wall)
+		snap = s.installLocked(j.st, report, data, snap)
 		s.mu.Unlock()
 		s.hub.publish(Event{App: j.app, Snapshot: snap})
 		s.cfg.Logger.Info("re-analyzed corpus",
@@ -478,21 +483,17 @@ func (s *Service) Flush() {
 }
 
 // installLocked stores a freshly analyzed report as the app's current
-// snapshot: version bump, ETag, history ring append, long-poll wake.
-// Callers hold s.mu.
-func (s *Service) installLocked(st *appState, report *core.Report, data []byte, wall time.Duration) Snapshot {
+// snapshot. snap arrives with everything but the version filled in;
+// installLocked only swaps pointers, bumps the version, appends to the
+// history ring and wakes long-polls, and returns the completed
+// snapshot. Callers hold s.mu; flushMu orders installs.
+func (s *Service) installLocked(st *appState, report *core.Report, data []byte, snap Snapshot) Snapshot {
+	st.version++
+	snap.Version = st.version
 	st.report = report
 	st.reportJSON = data
-	st.version++
-	st.etag = etagFor(data)
-	st.summary = report.Summarize(s.cfg.TopKeys)
-	snap := Snapshot{
-		Version:    st.version,
-		ETag:       st.etag,
-		AnalyzedAt: st.analyzedAt.UTC().Format(time.RFC3339Nano),
-		WallMillis: float64(wall) / float64(time.Millisecond),
-		Summary:    st.summary,
-	}
+	st.etag = snap.ETag
+	st.summary = snap.Summary
 	entry := historyEntry{snap: snap, report: report}
 	if len(st.history) == s.cfg.HistoryCap {
 		copy(st.history, st.history[1:])
