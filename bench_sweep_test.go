@@ -360,7 +360,7 @@ func TestBenchSweepJSON(t *testing.T) {
 
 	// Fleet-scale ingest: the group-commit log vs the per-bundle-Sync
 	// store under the standard 64-uploader load, then the whole sharded
-	// fleet (router, shards, per-shard analysis) end to end. The same
+	// fleet (router, shards, one analysis service) end to end. The same
 	// helpers back TestFleetGate's CI floors.
 	report.Entries = append(report.Entries, ingestSweepEntries(t)...)
 	report.Fleet, _ = fleetSweepBlock(t, benchSeed)

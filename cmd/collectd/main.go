@@ -43,9 +43,9 @@
 //
 // For fleet-scale ingest, -shards N splits the listener into N
 // in-process shards behind a hash(appID) router, each owning its apps'
-// analyzers and a store partition under <store>/shard-<i>. In sharded
-// mode the analysis surface is served through a fanout that delegates
-// app-scoped endpoints to the owning shard.
+// dedup state and a store partition under <store>/shard-<i>. Analysis
+// is one service at every shard count: every shard's ingest hook feeds
+// it, so /analysis/ and /ui/ behave the same sharded or not.
 //
 // Usage:
 //
@@ -90,7 +90,7 @@ func run() error {
 		addr         = flag.String("addr", "127.0.0.1:7600", "listen address")
 		out          = flag.String("out", ".", "directory for per-app corpus dumps on shutdown")
 		storeDir     = flag.String("store", "", "durable store directory: bundles are group-committed to a segmented log as they arrive and reloaded on restart")
-		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID) behind a router; each shard owns its apps' store partition and analyzers (1 = single server, no router)")
+		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID) behind a router; each shard owns its apps' store partition, and all shards feed one analysis service (1 = single server, no router)")
 		parallelism  = flag.Int("parallelism", 0, "worker count for the shutdown corpus dump (0 = GOMAXPROCS, 1 = serial)")
 		faultSpec    = flag.String("faults", "", "chaos fault injection on received frames, e.g. 'corrupt=0.1,truncate=0.05,duplicate=0.1,drop=0.05,delay=0.2,seed=7'")
 		maxLineBytes = flag.Int("max-line-bytes", 0, "reject serialized bundles over this size (0 = default 16 MiB)")
@@ -139,28 +139,23 @@ func run() error {
 		return o
 	}
 
-	// One serving layer per shard: each owns exactly its shard's apps, so
-	// the analysis partition mirrors the ingest partition. The HTTP
-	// surface is re-unified below (directly, or through serve.Fanout).
-	var svcs []*serve.Service
+	// One serving layer for the whole deployment: it is keyed by app,
+	// and every shard's ingest hook feeds it.
+	var svc *serve.Service
 	if *serveAnal {
 		if *debugAddr == "" {
 			return errors.New("-serve-analysis requires -debug-addr (reports are served on the debug mux)")
 		}
-		svcs = make([]*serve.Service, *shards)
-		for i := range svcs {
-			svc, err := serve.New(serve.Config{
-				Analysis: core.DefaultConfig(),
-				CacheCap: *analCache,
-				Debounce: *analDebounce,
-				Logger:   logger,
-			})
-			if err != nil {
-				return err
-			}
-			defer svc.Close()
-			svcs[i] = svc
+		svc, err = serve.New(serve.Config{
+			Analysis: core.DefaultConfig(),
+			CacheCap: *analCache,
+			Debounce: *analDebounce,
+			Logger:   logger,
+		})
+		if err != nil {
+			return err
 		}
+		defer svc.Close()
 	}
 
 	health := obs.NewHealth()
@@ -168,25 +163,15 @@ func run() error {
 	if *debugAddr != "" {
 		mux := obs.DebugMux(obs.Default, health)
 		paths := "/metrics /healthz /readyz /debug/vars /debug/pprof"
-		switch {
-		case len(svcs) == 1:
-			mux.Handle("/analysis/", svcs[0].Handler())
-			paths += " /analysis"
-			dash, err := ui.New(svcs[0], obs.Default)
+		if svc != nil {
+			mux.Handle("/analysis/", svc.Handler())
+			dash, err := ui.New(svc, obs.Default)
 			if err != nil {
 				return err
 			}
 			mux.Handle("/ui/", dash.Handler())
 			mux.Handle("/ui", dash.Handler())
-			paths += " /ui"
-		case len(svcs) > 1:
-			fan, err := serve.NewFanout(svcs...)
-			if err != nil {
-				return err
-			}
-			mux.Handle("/analysis/", fan.Handler())
-			paths += " /analysis"
-			logger.Info("sharded analysis surface: app-scoped endpoints delegate to the owning shard; /analysis/events and /ui are single-shard only")
+			paths += " /analysis /ui"
 		}
 		// Per-endpoint request counters and latency histograms over the
 		// whole debug surface (dashboard and SSE stream included).
@@ -230,8 +215,8 @@ func run() error {
 			stores = append(stores, store)
 			o = append(o, collect.WithStore(store))
 		}
-		if len(svcs) > 0 {
-			o = append(o, collect.WithIngestHook(svcs[i].Notify))
+		if svc != nil {
+			o = append(o, collect.WithIngestHook(svc.Notify))
 		}
 		return o, nil
 	}
@@ -261,20 +246,15 @@ func run() error {
 		}
 		srv = ss
 	}
-	// Warm the analysis services from the restored stores so reports are
-	// available before the first new upload arrives. Each app warms the
-	// service of the shard that owns it — the same partition the router
-	// enforces for live traffic.
-	if len(svcs) > 0 && srv.Count() > 0 {
+	// Warm the analysis service from the restored stores so reports are
+	// available before the first new upload arrives.
+	if svc != nil && srv.Count() > 0 {
 		for _, app := range srv.Apps() {
-			svc := svcs[collect.ShardOf(app, *shards)]
 			for _, b := range srv.Bundles(app) {
 				svc.Notify(b)
 			}
 		}
-		for _, svc := range svcs {
-			svc.Flush()
-		}
+		svc.Flush()
 		logger.Info("analysis warmed from restored store", "bundles", srv.Count())
 	}
 	health.SetReady(true)

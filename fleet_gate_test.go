@@ -22,7 +22,7 @@ import (
 //     under 0.25 and throughput at least 5x the per-bundle-Sync
 //     baseline (syncPerBundleStore).
 //   - The whole sharded fleet (router → shards → group-commit log →
-//     per-shard analysis) sustains its floors end to end: every session
+//     one analysis service) sustains its floors end to end: every session
 //     accepted exactly once, QPS above floor, p99 report staleness
 //     bounded.
 //
@@ -234,7 +234,7 @@ func TestFleetGate(t *testing.T) {
 		t.Errorf("group-commit QPS is %.2fx the per-bundle-Sync baseline, want >= 5x", seg.Speedup)
 	}
 
-	// Whole-fleet floors: sharded ingest with per-shard analysis.
+	// Whole-fleet floors: sharded ingest feeding one analysis service.
 	block, fr := fleetSweepBlock(t, benchSeed)
 	t.Log(fr.Render())
 	if fr.Accepted != int64(fr.Config.Sessions) || fr.Duplicated != 0 || fr.Quarantined != 0 {

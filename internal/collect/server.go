@@ -285,17 +285,9 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 		s.quarCount += skipped
 	}
 	// Live quarantine visibility: these gauges read the newest server's
-	// state at scrape time (one server per process in production).
-	obs.Default.GaugeFunc("collect_quarantine_kept",
-		"quarantined uploads currently held in the in-memory ring",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.quarantine))
-		})
-	obs.Default.GaugeFunc("collect_quarantine_count",
-		"total uploads rejected into quarantine, including rotated-out and reload-skipped ones",
-		func() float64 { return float64(s.QuarantineCount()) })
+	// state at scrape time. A ShardedServer re-registers them as sums
+	// over its shards once they are built.
+	registerQuarantineGauges(s.quarantineKept, s.QuarantineCount)
 	s.handler.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -633,6 +625,24 @@ func (s *Server) QuarantineCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.quarCount
+}
+
+// quarantineKept returns how many rejects the in-memory ring holds.
+func (s *Server) quarantineKept() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.quarantine)
+}
+
+// registerQuarantineGauges points the process-wide quarantine gauges at
+// kept and count, replacing whatever they read before.
+func registerQuarantineGauges(kept, count func() int) {
+	obs.Default.GaugeFunc("collect_quarantine_kept",
+		"quarantined uploads currently held in the in-memory ring",
+		func() float64 { return float64(kept()) })
+	obs.Default.GaugeFunc("collect_quarantine_count",
+		"total uploads rejected into quarantine, including rotated-out and reload-skipped ones",
+		func() float64 { return float64(count()) })
 }
 
 // Bundles returns the stored bundles for one app (a copy of the slice).

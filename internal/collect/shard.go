@@ -25,9 +25,10 @@ var (
 
 // ShardOf maps an app ID onto one of n shards (FNV-1a 32). It is the
 // single partitioning function of the sharded deployment: the ingest
-// router, the per-shard stores and the serve-layer read fan-out must
-// all agree on it, so an app's whole corpus — and its incremental
-// analyzer — lives on exactly one shard.
+// router and the per-shard stores agree on it, so an app's whole
+// corpus and dedup state live on exactly one shard. Analysis is not
+// partitioned: every shard feeds the one serving layer, which is keyed
+// by app.
 func ShardOf(appID string, n int) int {
 	if n <= 1 {
 		return 0
@@ -97,6 +98,7 @@ func NewShardedServer(addr string, n int, shardOpts func(shard int) []ServerOpti
 		return nil, fmt.Errorf("collect: router listen: %w", err)
 	}
 	ss.ln = ln
+	registerQuarantineGauges(ss.quarantineKept, ss.QuarantineCount)
 	ss.handler.Add(1)
 	go ss.acceptLoop()
 	return ss, nil
@@ -180,6 +182,15 @@ func (ss *ShardedServer) QuarantineCount() int {
 	n := 0
 	for _, s := range ss.shards {
 		n += s.QuarantineCount()
+	}
+	return n
+}
+
+// quarantineKept sums the rejects the shards' in-memory rings hold.
+func (ss *ShardedServer) quarantineKept() int {
+	n := 0
+	for _, s := range ss.shards {
+		n += s.quarantineKept()
 	}
 	return n
 }

@@ -2,9 +2,12 @@ package collect
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"repro/internal/collect/seglog"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -169,6 +173,18 @@ func TestShardedGarbageQuarantined(t *testing.T) {
 	}
 }
 
+// newTestService builds a serving layer that only analyzes on an
+// explicit flush.
+func newTestService(t *testing.T) *serve.Service {
+	t.Helper()
+	svc, err := serve.New(serve.Config{Analysis: core.DefaultConfig(), Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	return svc
+}
+
 // TestShardedExactlyOnceUnderFaults is the acceptance test: a faulty
 // upload through the router ingests exactly once per bundle,
 // and the per-app reports from the sharded deployment are
@@ -180,23 +196,11 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 		bundles = append(bundles, bundle(apps[i%len(apps)], fmt.Sprintf("u%d", i), fmt.Sprintf("t%d", i)))
 	}
 
-	newSvc := func() *serve.Service {
-		svc, err := serve.New(serve.Config{Analysis: core.DefaultConfig(), Debounce: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(svc.Close)
-		return svc
-	}
-
-	// Sharded run: 3 shards behind the router, per-shard serving layer,
-	// faults on the wire.
-	shardSvcs := make([]*serve.Service, 3)
-	for i := range shardSvcs {
-		shardSvcs[i] = newSvc()
-	}
-	ss, _ := startSharded(t, t.TempDir(), 3, func(i int) []ServerOption {
-		return []ServerOption{WithIngestHook(shardSvcs[i].Notify)}
+	// Sharded run: 3 shards behind the router, all feeding one serving
+	// layer, faults on the wire.
+	svc := newTestService(t)
+	ss, _ := startSharded(t, t.TempDir(), 3, func(int) []ServerOption {
+		return []ServerOption{WithIngestHook(svc.Notify)}
 	})
 	inj, err := faults.New(faults.Config{CorruptProb: 0.15, DuplicateProb: 0.2, DropProb: 0.1, Seed: 11})
 	if err != nil {
@@ -217,20 +221,16 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 	}
 
 	// Baseline: one unsharded server, clean wire, same upload set.
-	baseSvc := newSvc()
+	baseSvc := newTestService(t)
 	base := startServer(t, WithIngestHook(baseSvc.Notify))
 	if err := NewClient(base.Addr()).Upload(charging(), bundles); err != nil {
 		t.Fatal(err)
 	}
 
-	fan, err := serve.NewFanout(shardSvcs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fan.Flush()
+	svc.Flush()
 	baseSvc.Flush()
 	for _, app := range apps {
-		shardReport, _, ok := shardSvcs[ShardOf(app, 3)].AppReport(app)
+		shardReport, _, ok := svc.AppReport(app)
 		if !ok || shardReport == nil {
 			t.Fatalf("no sharded report for %s", app)
 		}
@@ -248,6 +248,125 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("report for %s diverged between sharded and single-shard runs", app)
+		}
+	}
+}
+
+// TestShardedFeedsOneService: apps routed to different shards all land
+// in the one serving layer, which lists them, flushes them together,
+// exports the fleet gauge over all of them and streams their report
+// events on one SSE endpoint.
+func TestShardedFeedsOneService(t *testing.T) {
+	apps := []string{"k9mail", "opengps", "wallabag", "tinfoil"}
+	svc := newTestService(t)
+	ss, _ := startSharded(t, t.TempDir(), 3, func(int) []ServerOption {
+		return []ServerOption{WithIngestHook(svc.Notify)}
+	})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// One flush publishes one event per app, so the watcher never blocks.
+	events := make(chan serve.StreamEvent, len(apps))
+	go func() {
+		_ = serve.WatchEvents(ctx, nil, ts.URL, "", 0, func(ev serve.StreamEvent) error {
+			events <- ev
+			return nil
+		})
+	}()
+	// A fresh SSE client gets no replay, so wait until it is subscribed
+	// before anything is published.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if n, _ := obs.Default.Value("serve_stream_clients"); n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("SSE client never subscribed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var bundles []*trace.TraceBundle
+	for i, app := range apps {
+		bundles = append(bundles, bundle(app, fmt.Sprintf("u%d", i), "t1"))
+	}
+	if err := NewClient(ss.Addr()).Upload(charging(), bundles); err != nil {
+		t.Fatal(err)
+	}
+	if svc.OldestDirtyAge() <= 0 {
+		t.Fatal("uploads through the router left the service clean")
+	}
+	resp, err := http.Post(ts.URL+"/analysis/flush", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("flush status %d", resp.StatusCode)
+	}
+	if age := svc.OldestDirtyAge(); age != 0 {
+		t.Fatalf("staleness %v after flush, want 0", age)
+	}
+
+	statuses := svc.Statuses()
+	if len(statuses) != len(apps) {
+		t.Fatalf("Statuses() = %+v, want the %d uploaded apps", statuses, len(apps))
+	}
+	for _, st := range statuses {
+		if st.Version != 1 || st.Traces != 1 {
+			t.Errorf("app %s not analyzed once over its bundle: %+v", st.App, st)
+		}
+	}
+	if v, _ := obs.Default.Value("serve_apps_tracked"); v != float64(len(apps)) {
+		t.Errorf("serve_apps_tracked = %v, want %d", v, len(apps))
+	}
+
+	shardsSeen := map[int]bool{}
+	appsSeen := map[string]bool{}
+	for len(appsSeen) < len(apps) {
+		select {
+		case ev := <-events:
+			appsSeen[ev.Event.App] = true
+			shardsSeen[ShardOf(ev.Event.App, 3)] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("report events only for %v", appsSeen)
+		}
+	}
+	if len(shardsSeen) < 2 {
+		t.Fatalf("report events came from shards %v, want at least two", shardsSeen)
+	}
+}
+
+// TestShardedQuarantineGauges: rejects on two different shards both
+// show in the process-wide quarantine gauges, which sum the shards.
+func TestShardedQuarantineGauges(t *testing.T) {
+	ss, _ := startSharded(t, t.TempDir(), 3, nil)
+	apps := []string{"k9mail", "opengps", "wallabag", "tinfoil"}
+	owners := map[int]bool{}
+	c := NewClient(ss.Addr(), WithRetry(1, time.Millisecond, time.Millisecond))
+	for i, app := range apps {
+		if owners[ShardOf(app, 3)] {
+			continue
+		}
+		owners[ShardOf(app, 3)] = true
+		broken := bundle(app, "u", fmt.Sprintf("t%d", i))
+		broken.Event.Records = broken.Event.Records[:1] // unbalanced
+		var rej *RejectedError
+		if err := c.Upload(charging(), []*trace.TraceBundle{broken}); !errors.As(err, &rej) {
+			t.Fatalf("broken %s bundle: err = %v, want *RejectedError", app, err)
+		}
+	}
+	if len(owners) < 2 {
+		t.Fatalf("rejects landed on shards %v, want at least two", owners)
+	}
+	want := float64(len(owners))
+	if got := float64(ss.QuarantineCount()); got != want {
+		t.Fatalf("QuarantineCount() = %v, want %v", got, want)
+	}
+	for _, name := range []string{"collect_quarantine_count", "collect_quarantine_kept"} {
+		if v, _ := obs.Default.Value(name); v != want {
+			t.Errorf("%s = %v, want the fleet total %v", name, v, want)
 		}
 	}
 }

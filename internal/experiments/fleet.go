@@ -18,10 +18,11 @@ import (
 
 // Fleet-scale ingest benchmark: N synthetic phone sessions across M
 // apps upload through the sharded binary ingest path (router → hashed
-// collectd shards → segmented group-commit log → per-shard incremental
-// analysis) while the benchmark samples how stale the freshest report
-// is. The defaults keep `reproduce -exp all` and the registry test
-// quick; the headline configuration from the paper-scale run is
+// collectd shards → segmented group-commit log → one incremental
+// analysis service fed by every shard) while the benchmark samples how
+// stale the freshest report is. The defaults keep `reproduce -exp all`
+// and the registry test quick; the headline configuration from the
+// paper-scale run is
 //
 //	FLEET_SESSIONS=1000000 FLEET_APPS=10000 reproduce -exp fleet
 //
@@ -43,7 +44,7 @@ const (
 	// staleness under sustained load oscillates around it.
 	fleetDebounce = 200 * time.Millisecond
 	// fleetSamplePeriod is how often the staleness probe reads
-	// Fanout.OldestDirtyAge.
+	// Service.OldestDirtyAge.
 	fleetSamplePeriod = 20 * time.Millisecond
 )
 
@@ -89,8 +90,8 @@ type FleetResult struct {
 	// FsyncsPerBundle is total seglog fsyncs over accepted bundles;
 	// group commit's whole point is a value well under 1.
 	FsyncsPerBundle float64
-	// StalenessP50/StalenessP99 are quantiles of the worst per-shard
-	// report staleness (Fanout.OldestDirtyAge), sampled every
+	// StalenessP50/StalenessP99 are quantiles of the worst per-app
+	// report staleness (Service.OldestDirtyAge), sampled every
 	// fleetSamplePeriod while the fleet uploads.
 	StalenessP50, StalenessP99 time.Duration
 	// Accepted/Duplicated/Quarantined are fleet-wide ingest counters.
@@ -190,7 +191,7 @@ func durQuantile(sorted []time.Duration, q float64) time.Duration {
 }
 
 // RunFleet drives the fleet benchmark: per-shard SegStores behind the
-// ingest router, per-shard serving layers fed by ingest hooks, and
+// ingest router, one serving layer fed by every shard's ingest hook, and
 // FLEET_UPLOADERS concurrent binary clients uploading FLEET_SESSIONS
 // synthetic sessions. It reports sustained QPS, ack-latency and
 // report-staleness quantiles, and the group-commit fsync amortization.
@@ -206,29 +207,21 @@ func RunFleet(seed int64) (Result, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// One serving layer and one segmented store per shard, exactly the
-	// sharded collectd topology.
-	svcs := make([]*serve.Service, cfg.Shards)
+	// One segmented store per shard and one serving layer for the
+	// fleet, exactly the sharded collectd topology.
+	svc, err := serve.New(serve.Config{Analysis: core.DefaultConfig(), Debounce: fleetDebounce})
+	if err != nil {
+		return nil, err
+	}
+	defer svc.Close()
 	stores := make([]*collect.SegStore, cfg.Shards)
 	defer func() {
-		for _, s := range svcs {
-			if s != nil {
-				s.Close()
-			}
-		}
 		for _, st := range stores {
 			if st != nil {
 				st.Close()
 			}
 		}
 	}()
-	for i := range svcs {
-		svc, err := serve.New(serve.Config{Analysis: core.DefaultConfig(), Debounce: fleetDebounce})
-		if err != nil {
-			return nil, err
-		}
-		svcs[i] = svc
-	}
 	var storeErr error
 	ss, err := collect.NewShardedServer("127.0.0.1:0", cfg.Shards, func(i int) []collect.ServerOption {
 		store, err := collect.NewSegStore(fmt.Sprintf("%s/shard-%d", dir, i), seglog.Options{})
@@ -239,7 +232,7 @@ func RunFleet(seed int64) (Result, error) {
 		stores[i] = store
 		return []collect.ServerOption{
 			collect.WithStore(store),
-			collect.WithIngestHook(svcs[i].Notify),
+			collect.WithIngestHook(svc.Notify),
 		}
 	})
 	if storeErr != nil {
@@ -249,11 +242,6 @@ func RunFleet(seed int64) (Result, error) {
 		return nil, err
 	}
 	defer ss.Close()
-
-	fan, err := serve.NewFanout(svcs...)
-	if err != nil {
-		return nil, err
-	}
 
 	// Staleness probe: sample the fleet's worst report age while the
 	// uploaders run.
@@ -272,7 +260,7 @@ func RunFleet(seed int64) (Result, error) {
 			case <-probeStop:
 				return
 			case <-tick.C:
-				age := fan.OldestDirtyAge()
+				age := svc.OldestDirtyAge()
 				stalenessMu.Lock()
 				staleness = append(staleness, age)
 				stalenessMu.Unlock()
@@ -333,7 +321,7 @@ func RunFleet(seed int64) (Result, error) {
 	}
 
 	// Drain the serving layer so AnalyzedApps reflects the whole fleet.
-	fan.Flush()
+	svc.Flush()
 
 	stats := ss.Stats()
 	if stats.Accepted != int64(cfg.Sessions) {
@@ -372,6 +360,6 @@ func RunFleet(seed int64) (Result, error) {
 	res.StalenessP99 = durQuantile(staleness, 0.99)
 	stalenessMu.Unlock()
 
-	res.AnalyzedApps = len(fan.Statuses())
+	res.AnalyzedApps = len(svc.Statuses())
 	return res, nil
 }

@@ -91,55 +91,42 @@ type Config struct {
 	// dirty app is re-analyzed (default 500ms). Shorter means fresher
 	// reports; longer coalesces bursts harder.
 	Debounce time.Duration
-	// MaxDelay caps how long a continuously-arriving stream can defer
-	// re-analysis (default 10x Debounce): under sustained load the
-	// report still refreshes at least this often.
-	MaxDelay time.Duration
 	// HistoryCap bounds the per-app snapshot-history ring (default 32).
 	HistoryCap int
-	// TopKeys is how many leading event keys a snapshot summary carries
-	// (default 5).
-	TopKeys int
-	// MaxWait caps a report long-poll's ?wait= duration (default 30s).
-	MaxWait time.Duration
 	// StreamQueue bounds each SSE client's event queue (default 64).
 	// A full queue drops its oldest event rather than blocking the
 	// flush path; clients detect the gap from the event-ID sequence.
 	StreamQueue int
-	// StreamReplay bounds the hub's replay ring for Last-Event-ID
-	// resume (default 256 events).
-	StreamReplay int
-	// StreamHeartbeat is the SSE keep-alive comment interval
-	// (default 15s).
-	StreamHeartbeat time.Duration
 	// Logger receives analysis outcomes (nil means slog.Default).
 	Logger *slog.Logger
 }
+
+// Fixed serving-layer limits.
+const (
+	// maxDelayFactor caps, as a multiple of Debounce, how long a
+	// continuously-arriving stream can defer re-analysis: under
+	// sustained load the report still refreshes at least this often.
+	maxDelayFactor = 10
+	// topKeys is how many leading event keys a snapshot summary carries.
+	topKeys = 5
+	// maxWait caps a report long-poll's ?wait= duration.
+	maxWait = 30 * time.Second
+	// streamReplay bounds the hub's replay ring for Last-Event-ID
+	// resume, in events.
+	streamReplay = 256
+	// streamHeartbeat is the SSE keep-alive comment interval.
+	streamHeartbeat = 15 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Debounce <= 0 {
 		c.Debounce = 500 * time.Millisecond
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 10 * c.Debounce
-	}
 	if c.HistoryCap <= 0 {
 		c.HistoryCap = 32
 	}
-	if c.TopKeys <= 0 {
-		c.TopKeys = 5
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 30 * time.Second
-	}
 	if c.StreamQueue <= 0 {
 		c.StreamQueue = 64
-	}
-	if c.StreamReplay <= 0 {
-		c.StreamReplay = 256
-	}
-	if c.StreamHeartbeat <= 0 {
-		c.StreamHeartbeat = 15 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -196,7 +183,7 @@ type Service struct {
 	mu         sync.Mutex
 	apps       map[string]*appState
 	timer      *time.Timer
-	firstDirty time.Time // first un-flushed Notify, for the MaxDelay cap
+	firstDirty time.Time // first un-flushed Notify, for the max-delay cap
 	closed     bool
 
 	// snapMu guards the cached fleet metrics snapshot so one /metrics
@@ -223,7 +210,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:  cfg,
-		hub:  newHub(cfg.StreamReplay, cfg.StreamQueue),
+		hub:  newHub(streamReplay, cfg.StreamQueue),
 		apps: make(map[string]*appState),
 	}
 	// All fleet gauges read the one cached snapshot: a scrape exports
@@ -353,11 +340,11 @@ func (s *Service) scheduleLocked(st *appState) {
 	case s.timer == nil:
 		s.firstDirty = now
 		s.timer = time.AfterFunc(s.cfg.Debounce, s.flushAsync)
-	case now.Sub(s.firstDirty) < s.cfg.MaxDelay:
+	case now.Sub(s.firstDirty) < maxDelayFactor*s.cfg.Debounce:
 		// Still inside the burst window: push the deadline out.
 		s.timer.Reset(s.cfg.Debounce)
 	default:
-		// MaxDelay exceeded: leave the pending timer alone so the flush
+		// Max delay exceeded: leave the pending timer alone so the flush
 		// fires even under a sustained arrival stream.
 	}
 }
@@ -455,7 +442,7 @@ func (s *Service) Flush() {
 				ETag:       etagFor(data),
 				AnalyzedAt: analyzedAt.UTC().Format(time.RFC3339Nano),
 				WallMillis: float64(wall) / float64(time.Millisecond),
-				Summary:    report.Summarize(s.cfg.TopKeys),
+				Summary:    report.Summarize(topKeys),
 			}
 		}
 		s.mu.Lock()
@@ -717,8 +704,8 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, "bad ?wait= duration", http.StatusBadRequest)
 			return
 		}
-		if d > s.cfg.MaxWait {
-			d = s.cfg.MaxWait
+		if d > maxWait {
+			d = maxWait
 		}
 		wait = d
 	}

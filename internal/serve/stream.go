@@ -238,7 +238,7 @@ func (s *Service) serveEvents(w http.ResponseWriter, req *http.Request) {
 	}
 	fl.Flush()
 
-	heartbeat := time.NewTicker(s.cfg.StreamHeartbeat)
+	heartbeat := time.NewTicker(streamHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {
