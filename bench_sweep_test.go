@@ -77,10 +77,9 @@ type revisionsSweep struct {
 }
 
 // fleetSweep is the fleet benchmark's BENCH_sweep block: the sharded
-// ingest path (router → hashed shards → group-commit log → per-shard
-// incremental analysis) measured end to end (ISSUE 10 acceptance
-// records QPS, ack latency, fsync amortization and report staleness
-// here).
+// ingest path (one listener → hashed shards → group-commit log → one
+// incremental analysis service) measured end to end: QPS, ack latency,
+// fsync amortization and report staleness.
 type fleetSweep struct {
 	Sessions        int     `json:"sessions"`
 	Apps            int     `json:"apps"`
@@ -360,7 +359,7 @@ func TestBenchSweepJSON(t *testing.T) {
 
 	// Fleet-scale ingest: the group-commit log vs the per-bundle-Sync
 	// store under the standard 64-uploader load, then the whole sharded
-	// fleet (router, shards, one analysis service) end to end. The same
+	// fleet (one listener, shards, one analysis service) end to end. The same
 	// helpers back TestFleetGate's CI floors.
 	report.Entries = append(report.Entries, ingestSweepEntries(t)...)
 	report.Fleet, _ = fleetSweepBlock(t, benchSeed)

@@ -41,11 +41,13 @@
 // history and what-if knobs. All debug-mux traffic is instrumented
 // with per-endpoint request counters and latency histograms.
 //
-// For fleet-scale ingest, -shards N splits the listener into N
-// in-process shards behind a hash(appID) router, each owning its apps'
-// dedup state and a store partition under <store>/shard-<i>. Analysis
-// is one service at every shard count: every shard's ingest hook feeds
-// it, so /analysis/ and /ui/ behave the same sharded or not.
+// For fleet-scale ingest, -shards N splits the ingest state into N
+// in-process shards by hash(appID): the one listener hands each frame
+// to the shard owning its app, which keeps that app's dedup state and
+// a store partition under <store>/shard-<i> (one shard uses <store>
+// itself). Analysis is one service at every shard count: every shard's
+// ingest hook feeds it, so /analysis/ and /ui/ behave the same sharded
+// or not.
 //
 // Usage:
 //
@@ -90,7 +92,7 @@ func run() error {
 		addr         = flag.String("addr", "127.0.0.1:7600", "listen address")
 		out          = flag.String("out", ".", "directory for per-app corpus dumps on shutdown")
 		storeDir     = flag.String("store", "", "durable store directory: bundles are group-committed to a segmented log as they arrive and reloaded on restart")
-		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID) behind a router; each shard owns its apps' store partition, and all shards feed one analysis service (1 = single server, no router)")
+		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID); one listener dispatches each frame to its app's shard, each shard owns its apps' store partition (<store>/shard-<i> above 1), and all shards feed one analysis service")
 		parallelism  = flag.Int("parallelism", 0, "worker count for the shutdown corpus dump (0 = GOMAXPROCS, 1 = serial)")
 		faultSpec    = flag.String("faults", "", "chaos fault injection on received frames, e.g. 'corrupt=0.1,truncate=0.05,duplicate=0.1,drop=0.05,delay=0.2,seed=7'")
 		maxLineBytes = flag.Int("max-line-bytes", 0, "reject serialized bundles over this size (0 = default 16 MiB)")
@@ -126,19 +128,6 @@ func run() error {
 		}
 		logger.Warn("CHAOS MODE: injecting faults on received frames", "spec", *faultSpec)
 	}
-	// baseOpts are the options every ingest server (the single one, or
-	// each shard) runs with; store and analysis hook are added per shard.
-	baseOpts := func() []collect.ServerOption {
-		o := []collect.ServerOption{collect.WithLimits(collect.Limits{
-			MaxLineBytes: *maxLineBytes,
-			MaxRecords:   *maxRecords,
-		})}
-		if injector != nil {
-			o = append(o, collect.WithServerFaults(injector))
-		}
-		return o
-	}
-
 	// One serving layer for the whole deployment: it is keyed by app,
 	// and every shard's ingest hook feeds it.
 	var svc *serve.Service
@@ -183,68 +172,45 @@ func run() error {
 		logger.Info("debug endpoints up", "addr", debug.Addr(), "paths", paths)
 	}
 
-	// ingestServer is the surface shared by the single server and the
-	// sharded router, so startup/shutdown below handle both.
-	type ingestServer interface {
-		Addr() string
-		Close() error
-		Stats() collect.ServerStats
-		Count() int
-		QuarantineCount() int
-		Apps() []string
-		Bundles(appID string) []*trace.TraceBundle
-	}
-	var srv ingestServer
+	// One store per shard. One shard keeps the bare store directory, so
+	// a store written before sharding restarts unchanged.
 	var stores []collect.Store
 	defer func() {
 		for _, st := range stores {
 			st.Close()
 		}
 	}()
-	shardOpts := func(i int) ([]collect.ServerOption, error) {
-		o := baseOpts()
-		if *storeDir != "" {
+	if *storeDir != "" {
+		for i := 0; i < *shards; i++ {
 			dir := *storeDir
 			if *shards > 1 {
 				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 			}
 			store, err := collect.NewSegStore(dir, seglog.Options{})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			stores = append(stores, store)
-			o = append(o, collect.WithStore(store))
+		}
+	}
+	srv, err := collect.NewShardedServer(*addr, *shards, func(i int) []collect.ServerOption {
+		o := []collect.ServerOption{collect.WithLimits(collect.Limits{
+			MaxLineBytes: *maxLineBytes,
+			MaxRecords:   *maxRecords,
+		})}
+		if injector != nil {
+			o = append(o, collect.WithServerFaults(injector))
+		}
+		if stores != nil {
+			o = append(o, collect.WithStore(stores[i]))
 		}
 		if svc != nil {
 			o = append(o, collect.WithIngestHook(svc.Notify))
 		}
-		return o, nil
-	}
-	if *shards == 1 {
-		opts, err := shardOpts(0)
-		if err != nil {
-			return err
-		}
-		srv, err = collect.NewServer(*addr, opts...)
-		if err != nil {
-			return err
-		}
-	} else {
-		var buildErr error
-		ss, err := collect.NewShardedServer(*addr, *shards, func(i int) []collect.ServerOption {
-			o, err := shardOpts(i)
-			if err != nil && buildErr == nil {
-				buildErr = err
-			}
-			return o
-		})
-		if buildErr != nil {
-			return buildErr
-		}
-		if err != nil {
-			return err
-		}
-		srv = ss
+		return o
+	})
+	if err != nil {
+		return err
 	}
 	// Warm the analysis service from the restored stores so reports are
 	// available before the first new upload arrives.

@@ -21,7 +21,7 @@ import (
 //     hammering one SegStore-backed server, fsyncs-per-bundle must stay
 //     under 0.25 and throughput at least 5x the per-bundle-Sync
 //     baseline (syncPerBundleStore).
-//   - The whole sharded fleet (router → shards → group-commit log →
+//   - The whole sharded fleet (one listener → shards → group-commit log →
 //     one analysis service) sustains its floors end to end: every session
 //     accepted exactly once, QPS above floor, p99 report staleness
 //     bounded.

@@ -48,9 +48,8 @@ func TestBinaryUploadRoundTrip(t *testing.T) {
 
 // TestNoHelloRejected: a connection that does not open with the hello
 // — e.g. a JSON-lines client — gets exactly one "ERR ?" ack and is
-// closed. A Server quarantines its first bytes, so accepted +
-// duplicated + quarantined still equals messages received; the router
-// has no frame to forward and counts the connection as unrouted.
+// closed. At every shard count shard 0 quarantines its first bytes, so
+// accepted + duplicated + quarantined still equals messages received.
 func TestNoHelloRejected(t *testing.T) {
 	var jsonLine bytes.Buffer
 	b := bundle("k9mail", "u", "t1")
@@ -58,63 +57,47 @@ func TestNoHelloRejected(t *testing.T) {
 	if err := trace.EncodeBundle(&jsonLine, b); err != nil {
 		t.Fatal(err)
 	}
-	// rejectOnce sends a JSON bundle line with no hello and asserts one
-	// ERR ? ack followed by the close.
-	rejectOnce := func(t *testing.T, addr string) {
-		conn := dialAddr(t, addr)
-		if _, err := conn.Write(jsonLine.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		r := bufio.NewReader(conn)
-		ack, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(ack, "ERR ? ") || !strings.Contains(ack, helloBinary) {
-			t.Errorf("ack = %q, want ERR ? naming the missing hello", ack)
-		}
-		if extra, err := r.ReadString('\n'); err == nil {
-			t.Errorf("connection survived its rejection: second ack %q", extra)
-		}
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"server", 1}, {"sharded", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := startSharded(t, t.TempDir(), tc.shards, nil)
+			conn := dialAddr(t, s.Addr())
+			if _, err := conn.Write(jsonLine.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			r := bufio.NewReader(conn)
+			ack, err := r.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(ack, "ERR ? ") || !strings.Contains(ack, helloBinary) {
+				t.Errorf("ack = %q, want ERR ? naming the missing hello", ack)
+			}
+			if extra, err := r.ReadString('\n'); err == nil {
+				t.Errorf("connection survived its rejection: second ack %q", extra)
+			}
+			if st := s.Stats(); st.Accepted != 0 || st.Duplicated != 0 || st.Quarantined != 1 {
+				t.Fatalf("stats = %+v, want the connection as 1 quarantined message", st)
+			}
+			if qc := s.shards[0].quarantineCount(); qc != 1 {
+				t.Fatalf("shard 0 quarantined %d, want the connection", qc)
+			}
+			entries := s.Quarantine()
+			if len(entries) != 1 || entries[0].Reason != errNoHello.Error() ||
+				!bytes.Equal(entries[0].Line, jsonLine.Bytes()[:len(helloLine)]) {
+				t.Fatalf("quarantine = %+v, want the connection's first bytes with the no-hello reason", entries)
+			}
+			// A hello-speaking client is unaffected.
+			if err := NewClient(s.Addr()).Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u", "t1")}); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.Accepted != 1 {
+				t.Fatalf("stats after a framed upload = %+v", st)
+			}
+		})
 	}
-
-	t.Run("server", func(t *testing.T) {
-		s := startServer(t)
-		rejectOnce(t, s.Addr())
-		if st := s.Stats(); st.Accepted != 0 || st.Duplicated != 0 || st.Quarantined != 1 {
-			t.Fatalf("stats = %+v, want the connection as 1 quarantined message", st)
-		}
-		entries := s.Quarantine()
-		if len(entries) != 1 || entries[0].Reason != errNoHello.Error() ||
-			!bytes.Equal(entries[0].Line, jsonLine.Bytes()[:len(helloLine)]) {
-			t.Fatalf("quarantine = %+v, want the connection's first bytes with the no-hello reason", entries)
-		}
-		// A hello-speaking client is unaffected.
-		if err := NewClient(s.Addr()).Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u", "t1")}); err != nil {
-			t.Fatal(err)
-		}
-		if st := s.Stats(); st.Accepted != 1 {
-			t.Fatalf("stats after a framed upload = %+v", st)
-		}
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		ss, _ := startSharded(t, t.TempDir(), 2, nil)
-		before := mRtUnrouted.Value()
-		rejectOnce(t, ss.Addr())
-		if got := mRtUnrouted.Value() - before; got != 1 {
-			t.Errorf("collect_router_unrouted_total rose by %v, want 1", got)
-		}
-		if st := ss.Stats(); st.Accepted != 0 || st.Quarantined != 0 || st.ConnsTotal != 0 {
-			t.Fatalf("stats = %+v, want no shard to see the connection", st)
-		}
-		if err := NewClient(ss.Addr()).Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u", "t1")}); err != nil {
-			t.Fatal(err)
-		}
-		if st := ss.Stats(); st.Accepted != 1 {
-			t.Fatalf("stats after a framed upload = %+v", st)
-		}
-	})
 }
 
 // TestBinaryUploadWithSegStore: the full fleet path — binary wire codec

@@ -70,7 +70,6 @@ type Client struct {
 	dial        func(addr string, timeout time.Duration) (net.Conn, error)
 	sleep       func(time.Duration)
 	injector    *faults.Injector
-	tracer      *obs.Tracer         // optional span sink for upload attempts
 	ackObs      func(time.Duration) // optional per-bundle ack latency sink
 
 	// Lock-free upload counters (see ClientStats).
@@ -143,12 +142,6 @@ func WithJitterSeed(seed int64) ClientOption {
 // WithDialer replaces the TCP dialer (tests, proxies).
 func WithDialer(dial func(addr string, timeout time.Duration) (net.Conn, error)) ClientOption {
 	return func(c *Client) { c.dial = dial }
-}
-
-// WithClientTracer records one span per connection attempt
-// ("client.attempt") on tr, exportable as a JSONL trace.
-func WithClientTracer(tr *obs.Tracer) ClientOption {
-	return func(c *Client) { c.tracer = tr }
 }
 
 // WithAckObserver registers a sink for per-bundle acknowledgement
@@ -249,14 +242,7 @@ func (c *Client) Upload(state PhoneState, bundles []*trace.TraceBundle) error {
 		}
 		c.attempts.Add(1)
 		mCliAttempts.Inc()
-		var sp *obs.Span
-		if c.tracer != nil {
-			sp = c.tracer.Start("client.attempt")
-		}
 		acked, err := c.uploadOnce(pending)
-		if sp != nil {
-			sp.End()
-		}
 		pending = pending[acked:]
 		if len(pending) == 0 && err == nil {
 			return nil

@@ -165,7 +165,7 @@ func TestBadLineBudgetClosesConnection(t *testing.T) {
 func TestQuarantineRingIsBounded(t *testing.T) {
 	s := startServer(t)
 	for i := 0; i < maxQuarantineKept+50; i++ {
-		s.quarantineLine([]byte(fmt.Sprintf("junk %d", i)), "", errors.New("test reject"), nil)
+		s.shards[0].quarantineLine([]byte(fmt.Sprintf("junk %d", i)), "", errors.New("test reject"))
 	}
 	if got := s.QuarantineCount(); got != maxQuarantineKept+50 {
 		t.Errorf("total count = %d, want %d", got, maxQuarantineKept+50)

@@ -8,6 +8,10 @@
 // ack that echoes its content key, so a client can resume after a
 // dropped connection without duplicating data.
 //
+// A Server may split its ingest state into shards by app ID
+// (NewShardedServer). It still has one listener and one connection
+// loop, which hands each frame to the owning shard in-process.
+//
 // The ingestion path assumes nothing about upload quality: every frame
 // is strictly validated (decode, content-key integrity, structural
 // trace invariants, size limits) and rejected uploads are kept in a
@@ -24,9 +28,8 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,7 +156,8 @@ type QuarantineEntry struct {
 //	Accepted + Duplicated + Quarantined == messages received
 //
 // holds at any quiescent point — the reconciliation invariant the
-// fault-injection integration tests pin.
+// fault-injection integration tests pin. A connection that ends or is
+// reset mid-frame delivered no message and is not counted.
 type ServerStats struct {
 	// Accepted is the count of bundles validated and stored.
 	Accepted int64
@@ -172,62 +176,51 @@ type ServerStats struct {
 	ConnsOpen int64
 }
 
-// Server receives and stores trace bundles.
+// Server receives trace bundles and stores each in the shard that owns
+// its app. It has one listener and one connection loop whatever the
+// shard count: the loop checks the hello, reads frames, enforces the
+// per-connection limits, applies the fault injector and writes the
+// acks, handing each frame to its shard in-process. Connection-level
+// settings (MaxLineBytes, MaxBundlesPerConn, MaxBadLinesPerConn and
+// the fault injector) come from shard 0's options.
 type Server struct {
 	ln       net.Listener
-	store    Store // optional durable store
-	limits   Limits
-	injector *faults.Injector         // optional chaos injector on received frames
-	tracer   *obs.Tracer              // optional span sink for the ingest path
-	hook     func(*trace.TraceBundle) // optional accepted-bundle hook
+	shards   []*shard
+	limits   Limits           // shard 0's, for the connection loop
+	injector *faults.Injector // shard 0's, on received frames
 
-	// Lock-free ingestion counters (see ServerStats).
-	accepted, duplicated, quarantined atomic.Int64
-	bytesIngested                     atomic.Int64
-	connsTotal, connsOpen             atomic.Int64
+	// Lock-free connection counters (see ServerStats); the message
+	// counters live on the shards.
+	bytesIngested         atomic.Int64
+	connsTotal, connsOpen atomic.Int64
 
-	mu         sync.Mutex
-	byApp      map[string][]*trace.TraceBundle
-	dupes      map[string]struct{}  // upload-key dedup across reconnects
-	inflight   map[string]*inflight // keys being persisted right now
-	quarantine []QuarantineEntry    // most recent maxQuarantineKept rejects
-	quarCount  int                  // total rejects, including rotated-out ones
-	closed     bool
-	handler    sync.WaitGroup
+	mu      sync.Mutex
+	closed  bool
+	handler sync.WaitGroup
 }
 
-// inflight tracks one dedup key whose store append is in progress on
-// some handler goroutine. Concurrent uploads of the same key wait for
-// the leader's verdict instead of double-appending — the dedup check
-// alone cannot cover the window because the append happens outside the
-// state lock (it must: group commit wants many handlers inside
-// store.Append at once).
-type inflight struct {
-	done chan struct{}
-}
-
-// ServerOption configures a server.
-type ServerOption func(*Server)
+// ServerOption configures a server, or one shard of a sharded server.
+type ServerOption func(*shard)
 
 // WithStore persists accepted bundles to a durable store (normally a
 // SegStore) and, at startup, reloads (and deduplicates against)
 // everything the store already holds — so a restarted server continues
 // where it stopped.
 func WithStore(store Store) ServerOption {
-	return func(s *Server) { s.store = store }
+	return func(sh *shard) { sh.store = store }
 }
 
 // WithLimits overrides the ingestion limits; zero fields keep their
 // defaults.
 func WithLimits(l Limits) ServerOption {
-	return func(s *Server) { s.limits = l }
+	return func(sh *shard) { sh.limits = l }
 }
 
 // WithServerFaults injects faults into received frames before ingestion
 // (chaos testing via collectd's -faults flag): frames may be corrupted,
 // truncated or duplicated, connections dropped, and ingestion delayed.
 func WithServerFaults(in *faults.Injector) ServerOption {
-	return func(s *Server) { s.injector = in }
+	return func(sh *shard) { sh.injector = in }
 }
 
 // WithIngestHook calls fn for every bundle accepted into the corpus —
@@ -240,73 +233,56 @@ func WithServerFaults(in *faults.Injector) ServerOption {
 // serve.Service). The bundle is the stored instance: treat it as
 // read-only.
 func WithIngestHook(fn func(*trace.TraceBundle)) ServerOption {
-	return func(s *Server) { s.hook = fn }
-}
-
-// WithServerTracer records one span per ingested frame ("server.ingest",
-// with "server.quarantine" children for rejects) on tr, exportable as a
-// JSONL trace. Production servers may leave it nil; the ingest-latency
-// histogram on the metrics registry is always populated.
-func WithServerTracer(tr *obs.Tracer) ServerOption {
-	return func(s *Server) { s.tracer = tr }
+	return func(sh *shard) { sh.hook = fn }
 }
 
 // NewServer starts a collection server on addr (e.g. "127.0.0.1:0").
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
+	return newServer(addr, 1, func(int) []ServerOption { return opts })
+}
+
+// newServer loads n shards, then listens on addr.
+func newServer(addr string, n int, shardOpts func(shard int) []ServerOption) (*Server, error) {
+	s := &Server{shards: make([]*shard, n)}
+	for i := range s.shards {
+		var opts []ServerOption
+		if shardOpts != nil {
+			opts = shardOpts(i)
+		}
+		sh, err := newShard(opts)
+		if err != nil {
+			if n > 1 {
+				err = fmt.Errorf("collect: shard %d: %w", i, err)
+			}
+			return nil, err
+		}
+		s.shards[i] = sh
+	}
+	s.limits = s.shards[0].limits
+	s.injector = s.shards[0].injector
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("collect: listen: %w", err)
 	}
-	s := &Server{
-		ln:       ln,
-		limits:   DefaultLimits(),
-		byApp:    make(map[string][]*trace.TraceBundle),
-		dupes:    make(map[string]struct{}),
-		inflight: make(map[string]*inflight),
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	s.limits = s.limits.withDefaults()
-	if s.store != nil {
-		persisted, skipped, err := s.store.Load()
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		for appID, bundles := range persisted {
-			for _, b := range bundles {
-				s.byApp[appID] = append(s.byApp[appID], b)
-				s.dupes[dedupKey(b)] = struct{}{}
-			}
-		}
-		// Undecodable records were never usable; record them for
-		// diagnosis.
-		s.quarCount += skipped
-	}
+	s.ln = ln
 	// Live quarantine visibility: these gauges read the newest server's
-	// state at scrape time. A ShardedServer re-registers them as sums
-	// over its shards once they are built.
-	registerQuarantineGauges(s.quarantineKept, s.QuarantineCount)
+	// shards at scrape time.
+	obs.Default.GaugeFunc("collect_quarantine_kept",
+		"quarantined uploads currently held in the in-memory ring",
+		func() float64 { return float64(s.quarantineKept()) })
+	obs.Default.GaugeFunc("collect_quarantine_count",
+		"total uploads rejected into quarantine, including rotated-out and reload-skipped ones",
+		func() float64 { return float64(s.QuarantineCount()) })
 	s.handler.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-// dedupKey identifies a bundle across re-uploads and restarts: the
-// stamped content key when present, else the app/user/trace triple
-// (legacy uploaders without integrity keys).
-func dedupKey(b *trace.TraceBundle) string {
-	if b.Key != "" {
-		return b.Key
-	}
-	return b.Event.AppID + "/" + b.Event.UserID + "/" + b.Event.TraceID
-}
-
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting connections and waits for in-flight handlers.
+// Close stops accepting connections and waits for in-flight handlers;
+// frames still arriving are refused as the server shuts down.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -315,6 +291,9 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	for _, sh := range s.shards {
+		sh.close()
+	}
 	err := s.ln.Close()
 	s.handler.Wait()
 	return err
@@ -337,16 +316,25 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// Stats returns a snapshot of the server's ingestion counters.
+// Stats returns a snapshot of the server's ingestion counters, summed
+// over its shards.
 func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Accepted:      s.accepted.Load(),
-		Duplicated:    s.duplicated.Load(),
-		Quarantined:   s.quarantined.Load(),
+	st := ServerStats{
 		BytesIngested: s.bytesIngested.Load(),
 		ConnsTotal:    s.connsTotal.Load(),
 		ConnsOpen:     s.connsOpen.Load(),
 	}
+	for _, sh := range s.shards {
+		st.Accepted += sh.accepted.Load()
+		st.Duplicated += sh.duplicated.Load()
+		st.Quarantined += sh.quarantined.Load()
+	}
+	return st
+}
+
+func (s *Server) addBytes(n int) {
+	s.bytesIngested.Add(int64(n))
+	mSrvBytes.Add(int64(n))
 }
 
 func (s *Server) handleConn(conn net.Conn) {
@@ -364,11 +352,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	// Peeking at most the hello's length never stalls a live upload: a
 	// client writes the whole hello before waiting for its echo.
 	peek, _ := br.Peek(len(helloLine))
-	s.bytesIngested.Add(int64(len(peek)))
-	mSrvBytes.Add(int64(len(peek)))
+	s.addBytes(len(peek))
 	if string(peek) != helloLine {
 		if len(peek) > 0 { // a connection that sent nothing has nothing to reject
-			s.quarantineLine(peek, "", errNoHello, nil)
+			s.shards[0].quarantineLine(peek, "", errNoHello)
 			fmt.Fprintf(w, "%s %s %v\n", ackErr, ackUnknownKey, errNoHello)
 			w.Flush()
 		}
@@ -384,6 +371,20 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.handleFrames(br, w)
 }
 
+// shardFor picks the shard owning a frame's app. With one shard there
+// is nothing to choose and no header is parsed; a frame whose header
+// cannot be read goes to shard 0, whose decoder quarantines it.
+func (s *Server) shardFor(payload []byte) *shard {
+	if len(s.shards) == 1 {
+		return s.shards[0]
+	}
+	hdr, err := binenc.FrameHeader(payload)
+	if err != nil {
+		return s.shards[0]
+	}
+	return s.shards[ShardOf(hdr.AppID, len(s.shards))]
+}
+
 // handleFrames is the frame loop of a connection past its hello:
 // length-prefixed CRC-checked binenc frames in, text acks out.
 func (s *Server) handleFrames(br *bufio.Reader, w *bufio.Writer) {
@@ -391,13 +392,16 @@ func (s *Server) handleFrames(br *bufio.Reader, w *bufio.Writer) {
 	for {
 		payload, err := binenc.ReadFrame(br, s.limits.MaxLineBytes)
 		if err != nil {
-			if err == io.EOF {
-				return // clean end of upload
+			if !errors.Is(err, binenc.ErrFrameTooLarge) && !errors.Is(err, binenc.ErrCRCMismatch) {
+				// EOF, a frame cut short by the connection ending, or a
+				// reset: the client stopped sending, so there is no
+				// message to count and no one to ack.
+				return
 			}
-			// A torn, corrupt or over-long frame cannot be resynced past
-			// (the next length prefix is untrustworthy), so this closes
-			// the connection; the client retries.
-			s.quarantineLine(nil, "", fmt.Errorf("binary framing: %v", err), nil)
+			// An over-long or corrupt frame cannot be resynced past (the
+			// next length prefix is untrustworthy), so this closes the
+			// connection; the client retries.
+			s.shards[0].quarantineLine(nil, "", fmt.Errorf("binary framing: %v", err))
 			fmt.Fprintf(w, "%s %s binary framing: %v\n", ackErr, ackUnknownKey, err)
 			w.Flush()
 			return
@@ -409,6 +413,7 @@ func (s *Server) handleFrames(br *bufio.Reader, w *bufio.Writer) {
 			w.Flush()
 			return
 		}
+		sh := s.shardFor(payload)
 		payloads := [][]byte{payload}
 		if s.injector != nil {
 			if d := s.injector.Delay(); d > 0 {
@@ -421,17 +426,16 @@ func (s *Server) handleFrames(br *bufio.Reader, w *bufio.Writer) {
 			}
 		}
 		for _, p := range payloads {
-			s.bytesIngested.Add(int64(len(p)) + binenc.FrameOverhead)
-			mSrvBytes.Add(int64(len(p)) + binenc.FrameOverhead)
-			var sp *obs.Span
-			if s.tracer != nil {
-				sp = s.tracer.Start("server.ingest")
-			}
+			s.addBytes(len(p) + binenc.FrameOverhead)
 			start := time.Now()
-			key, stored, dup, err := s.ingest(p)
+			key, stored, dup, err := sh.ingest(p)
 			hSrvIngest.Observe(time.Since(start).Seconds())
-			if !s.ackIngest(w, p, key, stored, dup, err, sp, &bad) {
-				return
+			if !sh.ack(w, p, key, stored, dup, err) {
+				bad++
+				if bad > s.limits.MaxBadLinesPerConn {
+					w.Flush()
+					return
+				}
 			}
 		}
 		if err := w.Flush(); err != nil {
@@ -440,239 +444,68 @@ func (s *Server) handleFrames(br *bufio.Reader, w *bufio.Writer) {
 	}
 }
 
-func keyOrUnknown(key string) string {
-	if key == "" {
-		return ackUnknownKey
-	}
-	return key
-}
-
-// ackIngest translates one ingest verdict into counters, quarantine and
-// a (buffered, not yet flushed) ack line. It returns false when the
-// connection has exhausted its bad-frame budget and must close.
-func (s *Server) ackIngest(w *bufio.Writer, raw []byte, key string, stored *trace.TraceBundle, dup bool, err error, sp *obs.Span, bad *int) bool {
-	defer func() {
-		if sp != nil {
-			sp.End()
-		}
-	}()
-	if err != nil {
-		*bad++
-		s.quarantineLine(raw, key, err, sp)
-		fmt.Fprintf(w, "%s %s %v\n", ackErr, keyOrUnknown(key), err)
-		if *bad > s.limits.MaxBadLinesPerConn {
-			w.Flush()
-			return false
-		}
-		return true
-	}
-	if dup {
-		s.duplicated.Add(1)
-		mSrvDuplicated.Inc()
-	} else {
-		s.accepted.Add(1)
-		mSrvAccepted.Inc()
-		if s.hook != nil {
-			s.hook(stored)
-		}
-	}
-	fmt.Fprintf(w, "%s %s\n", ackOK, keyOrUnknown(key))
-	return true
-}
-
-// ingest validates, scrubs and stores one bundle frame payload,
-// returning the bundle's stamped key when one could be decoded, the
-// stored (scrubbed) bundle on acceptance, and whether the bundle was a
-// content-key duplicate of an already stored one.
-func (s *Server) ingest(payload []byte) (key string, stored *trace.TraceBundle, dup bool, err error) {
-	b, err := binenc.DecodeBundle(payload)
-	if err != nil {
-		return "", nil, false, fmt.Errorf("decode: %v", err)
-	}
-	// The binary codec is a pure serialization layer and will carry
-	// NaN/Inf utilization bit patterns (JSON structurally cannot), but
-	// the content-key hash goes through JSON — reject non-finite floats
-	// here so a hostile frame cannot reach it.
-	for i := range b.Util.Samples {
-		for _, v := range b.Util.Samples[i].Util {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return b.Key, nil, false, errors.New("utilization not finite")
-			}
-		}
-	}
-	return s.ingestBundle(b)
-}
-
-// ingestBundle validates, scrubs and stores one decoded bundle. The
-// store append runs OUTSIDE the state lock: with a group-committing
-// store many handler goroutines must be inside Append at once for
-// batching to exist at all. Exactly-once across that window is kept by
-// the inflight map — the first uploader of a key becomes its persist
-// leader, concurrent uploads of the same key wait for the leader's
-// verdict, and the ack is only ever sent after durability.
-func (s *Server) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.TraceBundle, dup bool, err error) {
-	key = b.Key
-	// Integrity before anything else: a bundle altered in flight must
-	// not reach the store even if it still decodes.
-	if err := trace.VerifyContentKey(b); err != nil {
-		return key, nil, false, fmt.Errorf("integrity: %v", err)
-	}
-	if b.Event.AppID == "" {
-		return key, nil, false, errors.New("bundle has no app id")
-	}
-	if n := len(b.Event.Records); n > s.limits.MaxRecords {
-		return key, nil, false, fmt.Errorf("event trace has %d records, limit %d", n, s.limits.MaxRecords)
-	}
-	if n := len(b.Util.Samples); n > s.limits.MaxSamples {
-		return key, nil, false, fmt.Errorf("utilization trace has %d samples, limit %d", n, s.limits.MaxSamples)
-	}
-	if err := b.Event.Validate(); err != nil {
-		return key, nil, false, fmt.Errorf("event trace: %v", err)
-	}
-	if err := b.Util.Validate(); err != nil {
-		return key, nil, false, fmt.Errorf("utilization trace: %v", err)
-	}
-	scrubbed := trace.ScrubBundle(b)
-	dk := dedupKey(scrubbed)
-
-	s.mu.Lock()
-	for {
-		if s.closed {
-			s.mu.Unlock()
-			return key, nil, false, errors.New("server shutting down")
-		}
-		if _, seen := s.dupes[dk]; seen {
-			s.mu.Unlock()
-			return key, nil, true, nil // idempotent: re-uploads after a lost ack are fine
-		}
-		leader, busy := s.inflight[dk]
-		if !busy {
-			break
-		}
-		// Another connection is persisting this exact key right now.
-		// Wait for its verdict: if it succeeds we are a duplicate; if
-		// it fails we take over as the new leader.
-		s.mu.Unlock()
-		<-leader.done
-		s.mu.Lock()
-	}
-	fl := &inflight{done: make(chan struct{})}
-	s.inflight[dk] = fl
-	s.mu.Unlock()
-
-	// Persist before acknowledging: an acked bundle survives a crash; a
-	// failed write is reported so the phone retries. Off-lock, so
-	// concurrent handlers share the store's group commit.
-	var aerr error
-	if s.store != nil {
-		aerr = s.store.Append(scrubbed)
-	}
-
-	s.mu.Lock()
-	delete(s.inflight, dk)
-	if aerr == nil {
-		s.dupes[dk] = struct{}{}
-		s.byApp[scrubbed.Event.AppID] = append(s.byApp[scrubbed.Event.AppID], scrubbed)
-	}
-	close(fl.done)
-	s.mu.Unlock()
-	if aerr != nil {
-		return key, nil, false, aerr
-	}
-	return key, scrubbed, false, nil
-}
-
-// quarantineLine records a rejected upload: bounded in memory,
-// complete in the durable store when one is attached. parent, when
-// non-nil, is the ingest span the rejection belongs under.
-func (s *Server) quarantineLine(line []byte, key string, cause error, parent *obs.Span) {
-	s.quarantined.Add(1)
-	mSrvQuarantined.Inc()
-	if parent != nil {
-		defer parent.Child("server.quarantine").End()
-	}
-	entry := QuarantineEntry{
-		Key:    key,
-		Reason: cause.Error(),
-		Line:   append([]byte(nil), line...),
-	}
-	s.mu.Lock()
-	s.quarCount++
-	s.quarantine = append(s.quarantine, entry)
-	if len(s.quarantine) > maxQuarantineKept {
-		s.quarantine = s.quarantine[len(s.quarantine)-maxQuarantineKept:]
-	}
-	store := s.store
-	s.mu.Unlock()
-	if store != nil {
-		// Best-effort: quarantine persistence failing must not take the
-		// handler down with it.
-		_ = store.AppendQuarantine(entry)
-	}
-}
-
-// Quarantine returns the most recent quarantined uploads (a copy).
+// Quarantine returns the most recent quarantined uploads (a copy),
+// shard by shard.
 func (s *Server) Quarantine() []QuarantineEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]QuarantineEntry, len(s.quarantine))
-	copy(out, s.quarantine)
+	var out []QuarantineEntry
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		out = append(out, sh.quarantine...)
+		sh.mu.Unlock()
+	}
 	return out
 }
 
 // QuarantineCount returns how many uploads have been rejected in total.
 func (s *Server) QuarantineCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarCount
-}
-
-// quarantineKept returns how many rejects the in-memory ring holds.
-func (s *Server) quarantineKept() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.quarantine)
-}
-
-// registerQuarantineGauges points the process-wide quarantine gauges at
-// kept and count, replacing whatever they read before.
-func registerQuarantineGauges(kept, count func() int) {
-	obs.Default.GaugeFunc("collect_quarantine_kept",
-		"quarantined uploads currently held in the in-memory ring",
-		func() float64 { return float64(kept()) })
-	obs.Default.GaugeFunc("collect_quarantine_count",
-		"total uploads rejected into quarantine, including rotated-out and reload-skipped ones",
-		func() float64 { return float64(count()) })
-}
-
-// Bundles returns the stored bundles for one app (a copy of the slice).
-func (s *Server) Bundles(appID string) []*trace.TraceBundle {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	src := s.byApp[appID]
-	out := make([]*trace.TraceBundle, len(src))
-	copy(out, src)
-	return out
-}
-
-// Count returns the total number of stored bundles.
-func (s *Server) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, bs := range s.byApp {
-		n += len(bs)
+	for _, sh := range s.shards {
+		n += sh.quarantineCount()
 	}
 	return n
 }
 
-// Apps returns the app IDs with stored traces.
-func (s *Server) Apps() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	apps := make([]string, 0, len(s.byApp))
-	for id := range s.byApp {
-		apps = append(apps, id)
+// quarantineKept returns how many rejects the shards' in-memory rings
+// hold.
+func (s *Server) quarantineKept() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		n += len(sh.quarantine)
+		sh.mu.Unlock()
 	}
+	return n
+}
+
+// Bundles returns the stored bundles for one app (a copy of the slice),
+// read from the shard that owns it.
+func (s *Server) Bundles(appID string) []*trace.TraceBundle {
+	return s.shards[ShardOf(appID, len(s.shards))].bundles(appID)
+}
+
+// Count returns the total number of stored bundles.
+func (s *Server) Count() int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, bs := range sh.byApp {
+			n += len(bs)
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Apps returns the app IDs with stored traces, sorted.
+func (s *Server) Apps() []string {
+	var apps []string
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id := range sh.byApp {
+			apps = append(apps, id)
+		}
+		sh.mu.Unlock()
+	}
+	sort.Strings(apps)
 	return apps
 }

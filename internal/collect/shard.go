@@ -5,30 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"net"
-	"sort"
+	"math"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/obs"
+	"repro/internal/faults"
 	"repro/internal/trace"
 	"repro/internal/trace/binenc"
 )
 
-// Router metrics: how the fronting tier spreads and degrades.
-var (
-	mRtBundles   = obs.Default.Counter("collect_router_bundles_total", "bundles routed to a shard")
-	mRtUnrouted  = obs.Default.Counter("collect_router_unrouted_total", "frames with no readable app id (routed to shard 0 for quarantine) and connections without the hello (rejected)")
-	mRtUpstreams = obs.Default.Counter("collect_router_upstream_conns_total", "upstream shard connections dialed")
-	mRtErrors    = obs.Default.Counter("collect_router_upstream_errors_total", "client connections dropped on an upstream failure")
-)
-
 // ShardOf maps an app ID onto one of n shards (FNV-1a 32). It is the
-// single partitioning function of the sharded deployment: the ingest
-// router and the per-shard stores agree on it, so an app's whole
-// corpus and dedup state live on exactly one shard. Analysis is not
-// partitioned: every shard feeds the one serving layer, which is keyed
-// by app.
+// single partitioning function of the sharded deployment: the
+// connection loop's dispatch and the per-shard stores agree on it, so
+// an app's whole corpus and dedup state live on exactly one shard.
+// Analysis is not partitioned: every shard feeds the one serving
+// layer, which is keyed by app.
 func ShardOf(appID string, n int) int {
 	if n <= 1 {
 		return 0
@@ -38,318 +29,275 @@ func ShardOf(appID string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// ShardedServer fronts N in-process collection shards with a thin
-// routing listener. Each shard is a full *Server — own store, own
-// dedup state, own ingest hook — and owns every app whose ID hashes to
-// it. The router terminates the upload protocol only far enough to
-// read each bundle's app ID (binenc.FrameHeader), forwards the raw
-// frame to the owning shard over a per-connection upstream, and relays
-// the shard's ack verbatim.
+// ShardedServer is the server type NewShardedServer returns.
 //
-// Exactly-once survives routing because the router adds no state: the
-// bundle's content key travels with the bytes, and the owning shard's
-// dedup map (and durable store) is the same one a retry after a router
-// crash or an upstream failure lands on. A frame whose app ID cannot
-// be read is deterministically routed to shard 0, whose validator
-// quarantines it — rejects stay observable without the router growing
-// its own quarantine. A connection that does not open with the hello
-// carries no frame to forward: the router answers it with one "ERR ?"
-// ack, counts it in collect_router_unrouted_total and closes it.
-type ShardedServer struct {
-	ln     net.Listener
-	shards []*Server
-	limits Limits
+// Deprecated: a sharded server is a Server; use Server.
+type ShardedServer = Server
 
-	mu      sync.Mutex
-	closed  bool
-	handler sync.WaitGroup
-}
-
-// NewShardedServer starts n shards on loopback ports and a router on
-// addr. shardOpts, when non-nil, supplies each shard's options (store,
-// ingest hook, limits, faults) by shard index. With n == 1 the shard
-// still sits behind the router, so behavior differs from a bare Server
-// only by one forwarding hop.
-func NewShardedServer(addr string, n int, shardOpts func(shard int) []ServerOption) (*ShardedServer, error) {
+// NewShardedServer starts one server on addr whose ingest state is
+// split into n shards by ShardOf. shardOpts, when non-nil, supplies
+// each shard's options (store, ingest hook, limits, faults) by shard
+// index; the connection-level settings come from shard 0's.
+//
+// Each shard owns its apps' store, dedup state and quarantine, so
+// exactly-once holds per shard exactly as it does for one server: the
+// bundle's content key travels with the bytes, and a retry lands on the
+// same shard's dedup map and durable store.
+func NewShardedServer(addr string, n int, shardOpts func(shard int) []ServerOption) (*Server, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("collect: shard count %d < 1", n)
 	}
-	ss := &ShardedServer{}
-	for i := 0; i < n; i++ {
-		var opts []ServerOption
-		if shardOpts != nil {
-			opts = shardOpts(i)
-		}
-		srv, err := NewServer("127.0.0.1:0", opts...)
+	return newServer(addr, n, shardOpts)
+}
+
+// shard is one partition of a Server's ingest state: the apps whose IDs
+// hash to it, with their store, dedup state, quarantine, counters,
+// ingest hook and per-bundle limits.
+type shard struct {
+	store    Store // optional durable store
+	limits   Limits
+	injector *faults.Injector         // optional chaos injector (shard 0's is used)
+	hook     func(*trace.TraceBundle) // optional accepted-bundle hook
+
+	// Lock-free message counters (see ServerStats).
+	accepted, duplicated, quarantined atomic.Int64
+
+	mu         sync.Mutex
+	byApp      map[string][]*trace.TraceBundle
+	dupes      map[string]struct{}  // upload-key dedup across reconnects
+	inflight   map[string]*inflight // keys being persisted right now
+	quarantine []QuarantineEntry    // most recent maxQuarantineKept rejects
+	quarCount  int                  // total rejects, including rotated-out ones
+	closed     bool
+}
+
+// inflight tracks one dedup key whose store append is in progress on
+// some handler goroutine. Concurrent uploads of the same key wait for
+// the leader's verdict instead of double-appending — the dedup check
+// alone cannot cover the window because the append happens outside the
+// state lock (it must: group commit wants many handlers inside
+// store.Append at once).
+type inflight struct {
+	done chan struct{}
+}
+
+// newShard applies opts and reloads the shard's store, if any.
+func newShard(opts []ServerOption) (*shard, error) {
+	sh := &shard{
+		limits:   DefaultLimits(),
+		byApp:    make(map[string][]*trace.TraceBundle),
+		dupes:    make(map[string]struct{}),
+		inflight: make(map[string]*inflight),
+	}
+	for _, o := range opts {
+		o(sh)
+	}
+	sh.limits = sh.limits.withDefaults()
+	if sh.store != nil {
+		persisted, skipped, err := sh.store.Load()
 		if err != nil {
-			for _, s := range ss.shards {
-				s.Close()
+			return nil, err
+		}
+		for appID, bundles := range persisted {
+			for _, b := range bundles {
+				sh.byApp[appID] = append(sh.byApp[appID], b)
+				sh.dupes[dedupKey(b)] = struct{}{}
 			}
-			return nil, fmt.Errorf("collect: shard %d: %w", i, err)
 		}
-		ss.shards = append(ss.shards, srv)
+		// Undecodable records were never usable; record them for
+		// diagnosis.
+		sh.quarCount += skipped
 	}
-	ss.limits = ss.shards[0].limits
-	ln, err := net.Listen("tcp", addr)
+	return sh, nil
+}
+
+// close makes every later ingest refuse with "server shutting down".
+func (sh *shard) close() {
+	sh.mu.Lock()
+	sh.closed = true
+	sh.mu.Unlock()
+}
+
+// dedupKey identifies a bundle across re-uploads and restarts: the
+// stamped content key when present, else the app/user/trace triple
+// (legacy uploaders without integrity keys).
+func dedupKey(b *trace.TraceBundle) string {
+	if b.Key != "" {
+		return b.Key
+	}
+	return b.Event.AppID + "/" + b.Event.UserID + "/" + b.Event.TraceID
+}
+
+func keyOrUnknown(key string) string {
+	if key == "" {
+		return ackUnknownKey
+	}
+	return key
+}
+
+// ack translates one ingest verdict into counters, quarantine and a
+// (buffered, not yet flushed) ack line. It reports whether the frame
+// was taken (accepted or duplicated) rather than rejected.
+func (sh *shard) ack(w *bufio.Writer, raw []byte, key string, stored *trace.TraceBundle, dup bool, err error) bool {
 	if err != nil {
-		for _, s := range ss.shards {
-			s.Close()
-		}
-		return nil, fmt.Errorf("collect: router listen: %w", err)
+		sh.quarantineLine(raw, key, err)
+		fmt.Fprintf(w, "%s %s %v\n", ackErr, keyOrUnknown(key), err)
+		return false
 	}
-	ss.ln = ln
-	registerQuarantineGauges(ss.quarantineKept, ss.QuarantineCount)
-	ss.handler.Add(1)
-	go ss.acceptLoop()
-	return ss, nil
-}
-
-// Addr returns the router's listen address — the one clients dial.
-func (ss *ShardedServer) Addr() string { return ss.ln.Addr().String() }
-
-// Shards returns the shard servers, indexed by ShardOf.
-func (ss *ShardedServer) Shards() []*Server { return ss.shards }
-
-// ShardFor returns the shard owning an app's corpus.
-func (ss *ShardedServer) ShardFor(appID string) *Server {
-	return ss.shards[ShardOf(appID, len(ss.shards))]
-}
-
-// Close stops the router, waits for in-flight routed connections, then
-// closes every shard.
-func (ss *ShardedServer) Close() error {
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
-		return nil
-	}
-	ss.closed = true
-	ss.mu.Unlock()
-	err := ss.ln.Close()
-	ss.handler.Wait()
-	for _, s := range ss.shards {
-		if cerr := s.Close(); cerr != nil && err == nil {
-			err = cerr
+	if dup {
+		sh.duplicated.Add(1)
+		mSrvDuplicated.Inc()
+	} else {
+		sh.accepted.Add(1)
+		mSrvAccepted.Inc()
+		if sh.hook != nil {
+			sh.hook(stored)
 		}
 	}
-	return err
+	fmt.Fprintf(w, "%s %s\n", ackOK, keyOrUnknown(key))
+	return true
 }
 
-// Stats sums the shards' ingestion counters. The reconciliation
-// invariant (accepted + duplicated + quarantined == messages received)
-// holds fleet-wide for every frame the router forwards because it
-// holds per shard.
-func (ss *ShardedServer) Stats() ServerStats {
-	var out ServerStats
-	for _, s := range ss.shards {
-		st := s.Stats()
-		out.Accepted += st.Accepted
-		out.Duplicated += st.Duplicated
-		out.Quarantined += st.Quarantined
-		out.BytesIngested += st.BytesIngested
-		out.ConnsTotal += st.ConnsTotal
-		out.ConnsOpen += st.ConnsOpen
+// ingest validates, scrubs and stores one bundle frame payload,
+// returning the bundle's stamped key when one could be decoded, the
+// stored (scrubbed) bundle on acceptance, and whether the bundle was a
+// content-key duplicate of an already stored one.
+func (sh *shard) ingest(payload []byte) (key string, stored *trace.TraceBundle, dup bool, err error) {
+	b, err := binenc.DecodeBundle(payload)
+	if err != nil {
+		return "", nil, false, fmt.Errorf("decode: %v", err)
 	}
-	return out
-}
-
-// Bundles returns the stored bundles for one app, read from its shard.
-func (ss *ShardedServer) Bundles(appID string) []*trace.TraceBundle {
-	return ss.ShardFor(appID).Bundles(appID)
-}
-
-// Count returns the total stored bundles across all shards.
-func (ss *ShardedServer) Count() int {
-	n := 0
-	for _, s := range ss.shards {
-		n += s.Count()
+	// The binary codec is a pure serialization layer and will carry
+	// NaN/Inf utilization bit patterns (JSON structurally cannot), but
+	// the content-key hash goes through JSON — reject non-finite floats
+	// here so a hostile frame cannot reach it.
+	for i := range b.Util.Samples {
+		for _, v := range b.Util.Samples[i].Util {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return b.Key, nil, false, errors.New("utilization not finite")
+			}
+		}
 	}
-	return n
+	return sh.ingestBundle(b)
 }
 
-// Apps returns the app IDs with stored traces across all shards.
-func (ss *ShardedServer) Apps() []string {
-	var out []string
-	for _, s := range ss.shards {
-		out = append(out, s.Apps()...)
+// ingestBundle validates, scrubs and stores one decoded bundle. The
+// store append runs OUTSIDE the state lock: with a group-committing
+// store many handler goroutines must be inside Append at once for
+// batching to exist at all. Exactly-once across that window is kept by
+// the inflight map — the first uploader of a key becomes its persist
+// leader, concurrent uploads of the same key wait for the leader's
+// verdict, and the ack is only ever sent after durability.
+func (sh *shard) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.TraceBundle, dup bool, err error) {
+	key = b.Key
+	// Integrity before anything else: a bundle altered in flight must
+	// not reach the store even if it still decodes.
+	if err := trace.VerifyContentKey(b); err != nil {
+		return key, nil, false, fmt.Errorf("integrity: %v", err)
 	}
-	sort.Strings(out)
-	return out
-}
-
-// QuarantineCount sums the shards' rejected-upload totals.
-func (ss *ShardedServer) QuarantineCount() int {
-	n := 0
-	for _, s := range ss.shards {
-		n += s.QuarantineCount()
+	if b.Event.AppID == "" {
+		return key, nil, false, errors.New("bundle has no app id")
 	}
-	return n
-}
-
-// quarantineKept sums the rejects the shards' in-memory rings hold.
-func (ss *ShardedServer) quarantineKept() int {
-	n := 0
-	for _, s := range ss.shards {
-		n += s.quarantineKept()
+	if n := len(b.Event.Records); n > sh.limits.MaxRecords {
+		return key, nil, false, fmt.Errorf("event trace has %d records, limit %d", n, sh.limits.MaxRecords)
 	}
-	return n
-}
+	if n := len(b.Util.Samples); n > sh.limits.MaxSamples {
+		return key, nil, false, fmt.Errorf("utilization trace has %d samples, limit %d", n, sh.limits.MaxSamples)
+	}
+	if err := b.Event.Validate(); err != nil {
+		return key, nil, false, fmt.Errorf("event trace: %v", err)
+	}
+	if err := b.Util.Validate(); err != nil {
+		return key, nil, false, fmt.Errorf("utilization trace: %v", err)
+	}
+	scrubbed := trace.ScrubBundle(b)
+	dk := dedupKey(scrubbed)
 
-func (ss *ShardedServer) acceptLoop() {
-	defer ss.handler.Done()
+	sh.mu.Lock()
 	for {
-		conn, err := ss.ln.Accept()
-		if err != nil {
-			return
+		if sh.closed {
+			sh.mu.Unlock()
+			return key, nil, false, errors.New("server shutting down")
 		}
-		ss.handler.Add(1)
-		go func() {
-			defer ss.handler.Done()
-			ss.route(conn)
-		}()
+		if _, seen := sh.dupes[dk]; seen {
+			sh.mu.Unlock()
+			return key, nil, true, nil // idempotent: re-uploads after a lost ack are fine
+		}
+		leader, busy := sh.inflight[dk]
+		if !busy {
+			break
+		}
+		// Another connection is persisting this exact key right now.
+		// Wait for its verdict: if it succeeds we are a duplicate; if
+		// it fails we take over as the new leader.
+		sh.mu.Unlock()
+		<-leader.done
+		sh.mu.Lock()
+	}
+	fl := &inflight{done: make(chan struct{})}
+	sh.inflight[dk] = fl
+	sh.mu.Unlock()
+
+	// Persist before acknowledging: an acked bundle survives a crash; a
+	// failed write is reported so the phone retries. Off-lock, so
+	// concurrent handlers share the store's group commit.
+	var aerr error
+	if sh.store != nil {
+		aerr = sh.store.Append(scrubbed)
+	}
+
+	sh.mu.Lock()
+	delete(sh.inflight, dk)
+	if aerr == nil {
+		sh.dupes[dk] = struct{}{}
+		sh.byApp[scrubbed.Event.AppID] = append(sh.byApp[scrubbed.Event.AppID], scrubbed)
+	}
+	close(fl.done)
+	sh.mu.Unlock()
+	if aerr != nil {
+		return key, nil, false, aerr
+	}
+	return key, scrubbed, false, nil
+}
+
+// quarantineLine records a rejected upload: bounded in memory,
+// complete in the durable store when one is attached.
+func (sh *shard) quarantineLine(line []byte, key string, cause error) {
+	sh.quarantined.Add(1)
+	mSrvQuarantined.Inc()
+	entry := QuarantineEntry{
+		Key:    key,
+		Reason: cause.Error(),
+		Line:   append([]byte(nil), line...),
+	}
+	sh.mu.Lock()
+	sh.quarCount++
+	sh.quarantine = append(sh.quarantine, entry)
+	if len(sh.quarantine) > maxQuarantineKept {
+		sh.quarantine = sh.quarantine[len(sh.quarantine)-maxQuarantineKept:]
+	}
+	sh.mu.Unlock()
+	if sh.store != nil {
+		// Best-effort: quarantine persistence failing must not take the
+		// handler down with it.
+		_ = sh.store.AppendQuarantine(entry)
 	}
 }
 
-// upstream is one lazily-dialed router→shard connection. The router
-// opens at most one per shard per client connection and forwards
-// bundles synchronously (send, await shard ack, relay), so per-client
-// ack order is the shard ack order and MaxBundlesPerConn on the shard
-// bounds what one routed client can send, same as an unsharded server.
-type upstream struct {
-	conn net.Conn
-	br   *bufio.Reader
-	w    *bufio.Writer
+// quarantineCount returns how many uploads this shard has rejected in
+// total.
+func (sh *shard) quarantineCount() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.quarCount
 }
 
-func (u *upstream) close() {
-	if u != nil {
-		u.conn.Close()
-	}
-}
-
-// dialShard opens the upstream to one shard and exchanges the hello
-// with it; frames then pass through untouched — the router never
-// transcodes.
-func (ss *ShardedServer) dialShard(i int) (*upstream, error) {
-	conn, err := net.Dial("tcp", ss.shards[i].Addr())
-	if err != nil {
-		return nil, err
-	}
-	mRtUpstreams.Inc()
-	u := &upstream{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), w: bufio.NewWriter(conn)}
-	if _, err := u.w.WriteString(helloLine); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := u.w.Flush(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	echo, err := u.br.ReadString('\n')
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if echo != helloLine {
-		conn.Close()
-		return nil, errors.New("shard did not echo the hello")
-	}
-	return u, nil
-}
-
-// route handles one client connection: check the hello exactly like a
-// Server would, then forward bundle-by-bundle to owning shards.
-func (ss *ShardedServer) route(conn net.Conn) {
-	defer conn.Close()
-	ups := make([]*upstream, len(ss.shards))
-	defer func() {
-		for _, u := range ups {
-			u.close()
-		}
-	}()
-	get := func(i int) (*upstream, error) {
-		if ups[i] == nil {
-			u, err := ss.dialShard(i)
-			if err != nil {
-				mRtErrors.Inc()
-				return nil, err
-			}
-			ups[i] = u
-		}
-		return ups[i], nil
-	}
-
-	br := bufio.NewReaderSize(conn, 64*1024)
-	w := bufio.NewWriter(conn)
-	peek, _ := br.Peek(len(helloLine))
-	if string(peek) != helloLine {
-		if len(peek) > 0 {
-			mRtUnrouted.Inc()
-			fmt.Fprintf(w, "%s %s %v\n", ackErr, ackUnknownKey, errNoHello)
-			w.Flush()
-		}
-		return
-	}
-	br.Discard(len(helloLine))
-	if _, err := w.WriteString(helloLine); err != nil {
-		return
-	}
-	if err := w.Flush(); err != nil {
-		return
-	}
-	ss.routeFrames(br, w, get)
-}
-
-// forward sends one already-framed message to a shard and relays the
-// shard's one-line ack back to the client. Any failure in the middle
-// closes the client connection: the client's retry re-offers the
-// bundle with its content key intact and the shard dedups it, so a
-// half-forwarded bundle can never double-ingest.
-func forward(up *upstream, w *bufio.Writer, msg []byte) error {
-	if _, err := up.w.Write(msg); err != nil {
-		mRtErrors.Inc()
-		return err
-	}
-	if err := up.w.Flush(); err != nil {
-		mRtErrors.Inc()
-		return err
-	}
-	ack, err := up.br.ReadString('\n')
-	if err != nil {
-		mRtErrors.Inc()
-		return err
-	}
-	if _, err := w.WriteString(ack); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func (ss *ShardedServer) routeFrames(br *bufio.Reader, w *bufio.Writer, get func(int) (*upstream, error)) {
-	for {
-		payload, err := binenc.ReadFrame(br, ss.limits.MaxLineBytes)
-		if err != nil {
-			if err != io.EOF {
-				// Same contract as Server.handleFrames: a torn frame
-				// cannot be resynced past, so reject and close.
-				fmt.Fprintf(w, "%s %s binary framing: %v\n", ackErr, ackUnknownKey, err)
-				w.Flush()
-			}
-			return
-		}
-		shard := 0
-		if hdr, herr := binenc.FrameHeader(payload); herr == nil {
-			shard = ShardOf(hdr.AppID, len(ss.shards))
-		} else {
-			mRtUnrouted.Inc() // shard 0's decoder will quarantine it
-		}
-		up, err := get(shard)
-		if err != nil {
-			return
-		}
-		mRtBundles.Inc()
-		if err := forward(up, w, binenc.AppendFrame(nil, payload)); err != nil {
-			return
-		}
-	}
+// bundles returns the stored bundles for one app (a copy of the slice).
+func (sh *shard) bundles(appID string) []*trace.TraceBundle {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	src := sh.byApp[appID]
+	out := make([]*trace.TraceBundle, len(src))
+	copy(out, src)
+	return out
 }

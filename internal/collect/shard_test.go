@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
+	"repro/internal/trace/binenc"
 )
 
 func TestShardOf(t *testing.T) {
@@ -48,10 +49,10 @@ func TestShardOf(t *testing.T) {
 	}
 }
 
-// startSharded runs n shards behind a router, each with its own
+// startSharded runs a server with n shards, each with its own
 // SegStore in a subdirectory of dir. The returned shutdown closes the
 // fleet and its stores; it is idempotent and also runs at cleanup.
-func startSharded(t *testing.T, dir string, n int, extra func(shard int) []ServerOption) (*ShardedServer, func()) {
+func startSharded(t *testing.T, dir string, n int, extra func(shard int) []ServerOption) (*Server, func()) {
 	t.Helper()
 	stores := make([]*SegStore, n)
 	ss, err := NewShardedServer("127.0.0.1:0", n, func(i int) []ServerOption {
@@ -103,8 +104,8 @@ func TestShardedRoutesByApp(t *testing.T) {
 	}
 	for _, app := range apps {
 		owner := ShardOf(app, 3)
-		for i, shard := range ss.Shards() {
-			got := len(shard.Bundles(app))
+		for i := range 3 {
+			got := len(ss.shards[i].bundles(app))
 			want := 0
 			if i == owner {
 				want = 2
@@ -148,12 +149,12 @@ func TestShardedGarbageQuarantined(t *testing.T) {
 	if err := c.Upload(charging(), []*trace.TraceBundle{broken}); !errors.As(err, &rej) {
 		t.Fatalf("broken bundle: err = %v, want *RejectedError", err)
 	}
-	if qc := ss.Shards()[ShardOf("opengps", 3)].QuarantineCount(); qc != 1 {
+	if qc := ss.shards[ShardOf("opengps", 3)].quarantineCount(); qc != 1 {
 		t.Fatalf("owning shard quarantined %d, want 1", qc)
 	}
-	// A garbage frame with no app ID at all: the router sends it to
+	// A garbage frame with no app ID at all: the dispatch sends it to
 	// shard 0.
-	before := ss.Shards()[0].QuarantineCount()
+	before := ss.shards[0].quarantineCount()
 	conn := dialAddr(t, ss.Addr())
 	r := hello(t, conn)
 	sendFrame(t, conn, []byte("not a bundle at all"))
@@ -164,12 +165,75 @@ func TestShardedGarbageQuarantined(t *testing.T) {
 	if !strings.HasPrefix(ack, ackErrPrefix) {
 		t.Fatalf("garbage frame acked %q, want ERR", ack)
 	}
-	if qc := ss.Shards()[0].QuarantineCount(); qc != before+1 {
+	if qc := ss.shards[0].quarantineCount(); qc != before+1 {
 		t.Fatalf("shard 0 quarantined %d, want %d (the unrouted frame)", qc, before+1)
 	}
 	st := ss.Stats()
 	if st.Accepted != 1 || st.Quarantined != 2 {
 		t.Fatalf("stats = %+v, want 1 accepted + 2 quarantined", st)
+	}
+}
+
+// TestPerConnLimitsAtAnyShardCount: MaxBundlesPerConn and
+// MaxBadLinesPerConn bound one client connection, not each shard's
+// share of it, so an upload spread over several shards is cut at the
+// same count with 1 or 3 shards, and counts as one connection.
+func TestPerConnLimitsAtAnyShardCount(t *testing.T) {
+	apps := []string{"k9mail", "opengps", "wallabag", "tinfoil"}
+	var good, bad [][]byte
+	for i := 0; i < 8; i++ {
+		app := apps[i%len(apps)]
+		good = append(good, wirePayload(t, bundle(app, fmt.Sprintf("u%d", i), "t1")))
+		broken := bundle(app, fmt.Sprintf("b%d", i), "t1")
+		broken.Event.Records = broken.Event.Records[:1] // unbalanced
+		bad = append(bad, wirePayload(t, broken))
+	}
+	// lockstep sends payloads over one connection, reading each ack
+	// before the next frame, and returns the acks read before the
+	// server closed the connection.
+	lockstep := func(t *testing.T, addr string, payloads [][]byte) []string {
+		conn := dialAddr(t, addr)
+		r := hello(t, conn)
+		var acks []string
+		for _, p := range payloads {
+			if _, err := conn.Write(binenc.AppendFrame(nil, p)); err != nil {
+				break
+			}
+			ack, err := r.ReadString('\n')
+			if err != nil {
+				break
+			}
+			acks = append(acks, ack)
+		}
+		return acks
+	}
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			s, _ := startSharded(t, t.TempDir(), n, func(int) []ServerOption {
+				return []ServerOption{WithLimits(Limits{MaxBundlesPerConn: 5, MaxBadLinesPerConn: 2})}
+			})
+			acks := lockstep(t, s.Addr(), good)
+			if len(acks) != 6 || !strings.Contains(acks[5], "connection bundle limit (5)") {
+				t.Fatalf("8 bundles on one connection got acks %q, want 5 OK then the bundle-limit ERR", acks)
+			}
+			for _, ack := range acks[:5] {
+				if !strings.HasPrefix(ack, ackOK+" ") {
+					t.Fatalf("acks %q, want 5 OK first", acks)
+				}
+			}
+			acks = lockstep(t, s.Addr(), bad)
+			if len(acks) != 3 {
+				t.Fatalf("8 bad bundles on one connection got acks %q, want 3 ERR then the close", acks)
+			}
+			for _, ack := range acks {
+				if !strings.HasPrefix(ack, ackErrPrefix) {
+					t.Fatalf("acks %q, want only ERR", acks)
+				}
+			}
+			if st := s.Stats(); st.Accepted != 5 || st.Quarantined != 3 || st.ConnsTotal != 2 {
+				t.Fatalf("stats = %+v, want 5 accepted, 3 quarantined over 2 connections", st)
+			}
+		})
 	}
 }
 
@@ -186,7 +250,7 @@ func newTestService(t *testing.T) *serve.Service {
 }
 
 // TestShardedExactlyOnceUnderFaults is the acceptance test: a faulty
-// upload through the router ingests exactly once per bundle,
+// upload through a 3-shard server ingests exactly once per bundle,
 // and the per-app reports from the sharded deployment are
 // byte-identical to a single-shard run over the same upload set.
 func TestShardedExactlyOnceUnderFaults(t *testing.T) {
@@ -196,7 +260,7 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 		bundles = append(bundles, bundle(apps[i%len(apps)], fmt.Sprintf("u%d", i), fmt.Sprintf("t%d", i)))
 	}
 
-	// Sharded run: 3 shards behind the router, all feeding one serving
+	// Sharded run: 3 shards behind one listener, all feeding one serving
 	// layer, faults on the wire.
 	svc := newTestService(t)
 	ss, _ := startSharded(t, t.TempDir(), 3, func(int) []ServerOption {
@@ -295,7 +359,7 @@ func TestShardedFeedsOneService(t *testing.T) {
 		t.Fatal(err)
 	}
 	if svc.OldestDirtyAge() <= 0 {
-		t.Fatal("uploads through the router left the service clean")
+		t.Fatal("uploads through the sharded server left the service clean")
 	}
 	resp, err := http.Post(ts.URL+"/analysis/flush", "", nil)
 	if err != nil {
@@ -372,7 +436,7 @@ func TestShardedQuarantineGauges(t *testing.T) {
 }
 
 // TestShardedRestartResumesDedup: shards reload their own stores, so a
-// full re-upload through a restarted router is all duplicates.
+// full re-upload through a restarted sharded server is all duplicates.
 func TestShardedRestartResumesDedup(t *testing.T) {
 	dir := t.TempDir()
 	var bundles []*trace.TraceBundle

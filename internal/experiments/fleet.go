@@ -17,12 +17,12 @@ import (
 )
 
 // Fleet-scale ingest benchmark: N synthetic phone sessions across M
-// apps upload through the sharded binary ingest path (router → hashed
-// collectd shards → segmented group-commit log → one incremental
-// analysis service fed by every shard) while the benchmark samples how
-// stale the freshest report is. The defaults keep `reproduce -exp all`
-// and the registry test quick; the headline configuration from the
-// paper-scale run is
+// apps upload through the sharded binary ingest path (one listener
+// dispatching to hashed shards → segmented group-commit log → one
+// incremental analysis service fed by every shard) while the benchmark
+// samples how stale the freshest report is. The defaults keep
+// `reproduce -exp all` and the registry test quick; the headline
+// configuration from the paper-scale run is
 //
 //	FLEET_SESSIONS=1000000 FLEET_APPS=10000 reproduce -exp fleet
 //
@@ -190,10 +190,10 @@ func durQuantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// RunFleet drives the fleet benchmark: per-shard SegStores behind the
-// ingest router, one serving layer fed by every shard's ingest hook, and
-// FLEET_UPLOADERS concurrent binary clients uploading FLEET_SESSIONS
-// synthetic sessions. It reports sustained QPS, ack-latency and
+// RunFleet drives the fleet benchmark: per-shard SegStores behind one
+// ingest listener, one serving layer fed by every shard's ingest hook,
+// and FLEET_UPLOADERS concurrent binary clients uploading
+// FLEET_SESSIONS synthetic sessions. It reports sustained QPS, ack-latency and
 // report-staleness quantiles, and the group-commit fsync amortization.
 func RunFleet(seed int64) (Result, error) {
 	cfg := FleetConfigFromEnv()
