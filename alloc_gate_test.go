@@ -65,6 +65,19 @@ func gatedBenchmarks(t *testing.T) map[string]allocEntry {
 		t.Fatal(err)
 	}
 	text := corpus.Bundles[0].Event.Text()
+	// The incremental analyzer holds all but the last bundle; each
+	// add-report op adds that one and removes it again.
+	inc, err := core.NewIncrementalAnalyzer(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := corpus.Bundles[len(corpus.Bundles)-1]
+	for _, b := range corpus.Bundles[:len(corpus.Bundles)-1] {
+		inc.Add(b)
+	}
+	if _, err := inc.Report(); err != nil {
+		t.Fatal(err)
+	}
 
 	benches := map[string]func(b *testing.B){
 		"analyze/serial": func(b *testing.B) {
@@ -96,6 +109,18 @@ func gatedBenchmarks(t *testing.T) map[string]allocEntry {
 		"stage/detect": func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := sb.Detect(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		"incremental/add-report": func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				key, _ := inc.Add(held)
+				if _, err := inc.Report(); err != nil {
+					b.Fatal(err)
+				}
+				inc.Remove(key)
+				if _, err := inc.Report(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -86,7 +86,10 @@ type SkippedTrace struct {
 	Reason string `json:"reason"`
 }
 
-// Report is the complete diagnosis for one app's trace corpus.
+// Report is the complete diagnosis for one app's trace corpus. A report
+// from IncrementalAnalyzer is read-only: its traces are shared with the
+// analyzer and with the reports before and after it that did not
+// re-analyze them. Copy before modifying anything reachable from it.
 type Report struct {
 	AppID       string           `json:"appId"`
 	TotalTraces int              `json:"totalTraces"`

@@ -47,38 +47,6 @@ func (at *AnalyzedTrace) cloneStepOne() *AnalyzedTrace {
 	}
 }
 
-// cloneSlice deep-copies a slice preserving nil-vs-empty: the JSON
-// encodings differ (null vs []) and the differential harness
-// byte-compares reports, so a clone must not promote one to the other.
-func cloneSlice[T any](s []T) []T {
-	if s == nil {
-		return nil
-	}
-	out := make([]T, len(s))
-	copy(out, s)
-	return out
-}
-
-// cloneAnalyzed returns a fully detached deep copy of an analyzed trace
-// including every derived Steps-2–5 vector, so a served report cannot
-// alias (or be clobbered by) the incremental engine's master state.
-func (at *AnalyzedTrace) cloneAnalyzed() *AnalyzedTrace {
-	return &AnalyzedTrace{
-		TraceID:        at.TraceID,
-		UserID:         at.UserID,
-		Device:         at.Device,
-		Events:         cloneSlice(at.Events),
-		Rank:           cloneSlice(at.Rank),
-		NormPower:      cloneSlice(at.NormPower),
-		Amplitude:      cloneSlice(at.Amplitude),
-		Fence:          at.Fence,
-		Manifestations: cloneSlice(at.Manifestations),
-		WindowKeys:     cloneSlice(at.WindowKeys),
-		keyIDs:         cloneSlice(at.keyIDs),
-		windowIDs:      cloneSlice(at.windowIDs),
-	}
-}
-
 // pendingOp is one queued corpus mutation awaiting application.
 type pendingOp struct {
 	key string // "" marks a canceled (tombstoned) op
@@ -320,12 +288,15 @@ func (ia *IncrementalAnalyzer) CacheStats() CacheStats {
 // Report re-analyzes the current corpus: pending mutations are applied
 // to the per-key summaries, then only the traces whose ranks or bases
 // went stale are recomputed — exactly as Analyzer.Analyze would compute
-// them, byte for byte. The returned report is detached from analyzer
-// state — its traces are deep copies — so callers may hold or mutate it
-// indefinitely (a served report outliving many re-analyses) without
-// corrupting later reports. Report does no JSON encoding work;
-// ReportJSON is the serving variant that also returns the encoded
-// report.
+// them, byte for byte. The returned report is read-only and shared: its
+// traces are the analyzer's own values, which are never written after a
+// report holds them (a later refresh replaces a trace instead of
+// mutating it), so a caller may hold it indefinitely — a served report
+// outliving many re-analyses — and successive reports share every trace
+// that did not change. Callers must not write through it; the slices
+// returned by TopEvents and TopKeys are copies and may be modified.
+// Report does no JSON encoding work; ReportJSON is the serving variant
+// that also returns the encoded report.
 func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	ia.mu.Lock()
 	defer ia.mu.Unlock()
@@ -403,7 +374,7 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	var detectDirty []*traceEntry
 	for _, e := range entries {
 		if e.baseStale(ia.cs) {
-			ia.a.normalize(e.at, ia.cs.base)
+			ia.a.normalize(e.writable(), ia.cs.base)
 			detectDirty = append(detectDirty, e)
 		}
 	}
@@ -437,7 +408,8 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	}
 	traces := make([]*AnalyzedTrace, len(entries))
 	for i, e := range entries {
-		traces[i] = e.at.cloneAnalyzed()
+		traces[i] = e.at
+		e.held = true
 	}
 	report.Traces = traces
 

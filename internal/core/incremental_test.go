@@ -385,20 +385,26 @@ func TestReportJSONNonFiniteMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestServedReportDetachedFromAnalyzerState is the regression test for
-// the served-report aliasing fix: a caller holding a long-lived report
-// (an online serving handler's client) may mutate anything reachable
-// from it — TopEvents/TopKeys results, the impact table, even the
-// per-trace Step-1 vectors — without changing what the analyzer serves
-// next.
+// TestServedReportDetachedFromAnalyzerState pins what a caller holding
+// a long-lived report (an online serving handler's client) may rely on.
+// The returned JSON bytes and the TopEvents/TopKeys results are the
+// caller's own, and the impact table is built per report: mutating any
+// of them does not change what the analyzer serves next. The per-trace
+// vectors are shared with the analyzer and read-only, so instead of
+// writing to them the test holds every report version across
+// add/remove/re-add rounds that re-rank and re-detect traces, and checks
+// that each held version still marshals to exactly the bytes ReportJSON
+// served for it: the analyzer never writes a trace a report holds.
 func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
-	pool := bundlePool(t, 6, 47)
+	pool := bundlePool(t, 8, 47)
+	base, extra := pool[:6], pool[6:]
 	inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range pool {
-		inc.Add(b)
+	keys := make([]string, len(base))
+	for i, b := range base {
+		keys[i], _ = inc.Add(b)
 	}
 	served, servedJSON, err := inc.ReportJSON()
 	if err != nil {
@@ -412,7 +418,7 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 		servedJSON[i] = 'x'
 	}
 
-	// Vandalize everything a handler could leak to a client.
+	// Vandalize everything a handler could hand a client as its own.
 	if top := served.TopEvents(0); len(top) > 0 {
 		top[0].Key.Class = "Lmutated/by/caller"
 		top[0].Percent = -1
@@ -424,17 +430,6 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	if len(served.Impacted) > 0 {
 		served.Impacted[0].Percent = 123456
 	}
-	for _, at := range served.Traces {
-		for i := range at.Events {
-			at.Events[i].PowerMW = -999
-			at.Events[i].Instance.Key.Class = "Lclobbered"
-		}
-		for i := range at.Rank {
-			at.Rank[i] = -1
-		}
-		at.Manifestations = append(at.Manifestations, 0)
-		at.WindowKeys = nil
-	}
 
 	again, err := inc.Report()
 	if err != nil {
@@ -445,6 +440,183 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	}
 	rep, data, err := inc.ReportJSON()
 	assertReportJSON(t, "after vandalism", rep, data, err, want)
+
+	// Hold every version across churn that makes traces rank-stale and
+	// base-stale.
+	type version struct {
+		what   string
+		report *core.Report
+		data   []byte
+	}
+	var held []version
+	var rankDirty, detectDirty int
+	hold := func(what string) {
+		rep, data, err := inc.ReportJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		held = append(held, version{what, rep, data})
+		st := inc.SummaryStats()
+		rankDirty += st.RankDirtyTraces
+		detectDirty += st.DetectDirtyTraces
+	}
+	const rounds = 20
+	for r := 0; r < rounds; r++ {
+		i := r % len(base)
+		inc.Remove(keys[i])
+		hold(fmt.Sprintf("round %d: remove %d", r, i))
+		xk, _ := inc.Add(extra[r%len(extra)])
+		hold(fmt.Sprintf("round %d: add extra %d", r, r%len(extra)))
+		inc.Add(base[i])
+		hold(fmt.Sprintf("round %d: re-add %d", r, i))
+		inc.Remove(xk)
+		hold(fmt.Sprintf("round %d: remove extra %d", r, r%len(extra)))
+	}
+	if rankDirty == 0 || detectDirty == 0 {
+		t.Fatalf("churn re-ranked %d and re-detected %d traces; the rounds no longer make held traces stale", rankDirty, detectDirty)
+	}
+	for _, v := range held {
+		if got := reportJSON(t, v.report); !bytes.Equal(got, v.data) {
+			t.Fatalf("%s: the held report no longer marshals to the bytes served for it: a later refresh wrote a shared trace", v.what)
+		}
+	}
+}
+
+// TestReportVersionsShareUnchangedTraces pins the O(change) cost of a
+// report version: consecutive reports share the *AnalyzedTrace of every
+// trace the mutation between them did not re-analyze, and hold a new
+// one for every trace it did. A trace is re-ranked exactly when it
+// contains an event key of the added or removed trace (that key's power
+// multiset changed); a trace with none of them is neither re-ranked nor
+// re-detected.
+func TestReportVersionsShareUnchangedTraces(t *testing.T) {
+	pool := bundlePool(t, 9, 61)
+	// relabel copies b with every event class moved under a prefix no
+	// corpus key has, so its keys are disjoint from the K9Mail corpus.
+	relabel := func(b *trace.TraceBundle) *trace.TraceBundle {
+		c := *b
+		c.Key = ""
+		c.Event.Records = append([]trace.Record(nil), b.Event.Records...)
+		for i := range c.Event.Records {
+			c.Event.Records[i].Key.Class = "Lrelabeled/" + c.Event.Records[i].Key.Class[1:]
+		}
+		return &c
+	}
+	inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pool[:6] {
+		inc.Add(b)
+	}
+	prev, err := inc.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevJSON := reportJSON(t, prev)
+
+	keysOf := func(at *core.AnalyzedTrace) map[trace.EventKey]bool {
+		ks := make(map[trace.EventKey]bool)
+		for _, ev := range at.Events {
+			ks[ev.Instance.Key] = true
+		}
+		return ks
+	}
+	overlaps := func(at *core.AnalyzedTrace, touched map[trace.EventKey]bool) bool {
+		for _, ev := range at.Events {
+			if touched[ev.Instance.Key] {
+				return true
+			}
+		}
+		return false
+	}
+	byID := func(r *core.Report, id string) *core.AnalyzedTrace {
+		for _, at := range r.Traces {
+			if at.TraceID == id {
+				return at
+			}
+		}
+		return nil
+	}
+
+	// step applies one mutation of the trace with the given ID and checks
+	// pointer sharing between the report before and after it. It returns
+	// how many surviving traces were shared and how many re-analyzed.
+	step := func(what, id string, mutate func()) (shared, fresh int) {
+		t.Helper()
+		mutated := byID(prev, id)
+		mutate()
+		cur, err := inc.Report()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if mutated == nil {
+			mutated = byID(cur, id)
+		}
+		if mutated == nil {
+			t.Fatalf("%s: trace %s in neither report", what, id)
+		}
+		touched := keysOf(mutated)
+		for _, at := range cur.Traces {
+			old := byID(prev, at.TraceID)
+			switch {
+			case old == nil:
+				continue // the added trace itself
+			case overlaps(at, touched):
+				if at == old {
+					t.Errorf("%s: re-ranked trace %s is the same *AnalyzedTrace as in the previous report", what, at.TraceID)
+				}
+				fresh++
+			default:
+				if at != old {
+					t.Errorf("%s: untouched trace %s was copied; want the previous report's pointer", what, at.TraceID)
+				}
+				shared++
+			}
+		}
+		if st := inc.SummaryStats(); st.RankDirtyTraces != fresh {
+			t.Errorf("%s: %d traces re-ranked, %d share a key with the mutation", what, st.RankDirtyTraces, fresh)
+		}
+		if got := reportJSON(t, prev); !bytes.Equal(got, prevJSON) {
+			t.Fatalf("%s: the previous report changed under the mutation", what)
+		}
+		prev, prevJSON = cur, reportJSON(t, cur)
+		return shared, fresh
+	}
+
+	disjoint, second := relabel(pool[7]), relabel(pool[8])
+	corpusKeys := make(map[trace.EventKey]bool)
+	for _, at := range prev.Traces {
+		for k := range keysOf(at) {
+			corpusKeys[k] = true
+		}
+	}
+	for _, rec := range disjoint.Event.Records {
+		if corpusKeys[rec.Key] {
+			t.Fatalf("the disjoint bundle shares event key %v with the corpus", rec.Key)
+		}
+	}
+	var dk string
+	if shared, fresh := step("add disjoint", disjoint.Event.TraceID, func() { dk, _ = inc.Add(disjoint) }); shared != 6 || fresh != 0 {
+		t.Fatalf("adding a disjoint bundle shared %d and re-analyzed %d traces, want 6 and 0", shared, fresh)
+	}
+	if shared, fresh := step("remove disjoint", disjoint.Event.TraceID, func() { inc.Remove(dk) }); shared != 6 || fresh != 0 {
+		t.Fatalf("removing a disjoint bundle shared %d and re-analyzed %d traces, want 6 and 0", shared, fresh)
+	}
+	// An overlapping bundle re-ranks the traces sharing its keys.
+	if _, fresh := step("add overlapping", pool[6].Event.TraceID, func() { inc.Add(pool[6]) }); fresh == 0 {
+		t.Fatal("adding a same-app bundle re-analyzed no trace; the case no longer exercises the copy")
+	}
+	// With relabeled and K9Mail traces in the corpus, one mutation
+	// re-ranks some traces and shares the rest.
+	inc.Add(disjoint)
+	if prev, err = inc.Report(); err != nil {
+		t.Fatal(err)
+	}
+	prevJSON = reportJSON(t, prev)
+	if shared, fresh := step("add second disjoint", second.Event.TraceID, func() { inc.Add(second) }); shared != 7 || fresh != 1 {
+		t.Fatalf("adding a second relabeled bundle shared %d and re-analyzed %d traces, want 7 and 1", shared, fresh)
+	}
 }
 
 // TestIncrementalConcurrentUse exercises Add/Remove/Report/CacheStats

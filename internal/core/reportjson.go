@@ -207,6 +207,9 @@ func assembleReport(report *Report, frags [][]byte) ([]byte, error) {
 // concatenated after releasing it. A corpus on the full-replay
 // fallback (non-finite Step-1 powers) is encoded with json.Marshal.
 //
+// The report is read-only and shared, as Report's is; the bytes are the
+// caller's own.
+//
 // On any error — analysis or encoding — both results are nil and the
 // error is the one Report followed by json.Marshal would return.
 func (ia *IncrementalAnalyzer) ReportJSON() (*Report, []byte, error) {

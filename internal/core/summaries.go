@@ -48,10 +48,18 @@ type traceEntry struct {
 	// skipped (or fails the corpus under strict mode) and the remaining
 	// fields stay zero.
 	err error
-	// at is the master analyzed trace: Step-1 events plus the most
-	// recently refreshed Steps-2–4 vectors. Reports hand out deep
-	// clones, never the master.
+	// at is the analyzed trace: Step-1 events plus the most recently
+	// refreshed Steps-2–4 vectors. Reports hand it out as is, so once
+	// held is set it is never written again: a refresh first replaces it
+	// with a copy of the header (writable), and every column a refresh
+	// recomputes is a fresh slice, so the copy shares only the columns
+	// that did not change (always Events and keyIDs).
 	at *AnalyzedTrace
+	// held marks at as reachable from a report handed out since it was
+	// last copied. Set by reportLocked, cleared by writable; an entry is
+	// therefore copied at most once per report, however many of its
+	// stages go stale.
+	held bool
 	// ids are the distinct interned key IDs occurring in this trace —
 	// the stamp vectors below are indexed parallel to it.
 	ids []uint32
@@ -192,7 +200,7 @@ func (ia *IncrementalAnalyzer) applyAdd(key string) {
 		ia.updateBase(id)
 	}
 	ia.refreshRanks(e)
-	ia.a.normalize(e.at, cs.base)
+	ia.a.normalize(e.writable(), cs.base)
 	// A detect failure here is deliberately swallowed: the entry stays
 	// detect-stale, so the next Report recomputes it in corpus order and
 	// surfaces the error exactly where the batch pipeline would.
@@ -282,15 +290,28 @@ func (e *traceEntry) baseStale(cs *corpusState) bool {
 	return false
 }
 
+// writable returns the entry's analyzed trace for a refresh to write
+// to: at itself if no report holds it, else a new copy of its header
+// that replaces it. The copy shares every column with the held value,
+// so callers must assign a fresh slice to each column they recompute
+// and never write through a shared one.
+func (e *traceEntry) writable() *AnalyzedTrace {
+	if e.held {
+		c := *e.at
+		e.at, e.held = &c, false
+	}
+	return e.at
+}
+
 // refreshRanks recomputes the trace's Step-2 rank column from the
-// per-key summaries. FracRank is bit-identical to the batch tied-block
-// mean, so the column matches rankAndBase exactly.
+// per-key summaries into a fresh slice on a writable trace, leaving any
+// report that holds the previous value untouched. FracRank is
+// bit-identical to the batch tied-block mean, so the column matches
+// rankAndBase exactly.
 func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 	cs := ia.cs
-	at := e.at
+	at := e.writable()
 	e.rank = nil
-	// Fresh allocation, mirroring rankAndBase: the master's previous
-	// column may still back an earlier report's clone source.
 	at.Rank = make([]float64, len(at.Events))
 	for i, id := range at.keyIDs {
 		fr, err := cs.sums[id].FracRank(at.Events[i].PowerMW)
@@ -311,12 +332,13 @@ func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 
 // refreshDetect re-runs Step 4 on an already-normalized trace and folds
 // the trace's new Step-5 contributions into the maintained aggregates.
-// The caller must have run Analyzer.normalize against cs.base first. On
-// error nothing is stamped, so the trace stays detect-stale and the
+// The caller must have run Analyzer.normalize against cs.base first, on
+// e.writable(); detect assigns fresh slices to every column it writes.
+// On error nothing is stamped, so the trace stays detect-stale and the
 // error reproduces on the next Report.
 func (ia *IncrementalAnalyzer) refreshDetect(e *traceEntry) error {
 	cs := ia.cs
-	at := e.at
+	at := e.writable()
 	// Dropped before detecting: the caller's normalize already rewrote
 	// NormPower, so the tail is stale even when detection fails.
 	e.tail = nil

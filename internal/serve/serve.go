@@ -41,9 +41,12 @@
 //	                          version-diff workloads) and schedule
 //	                          re-analysis — sublinear, no corpus rebuild
 //
-// The served report bytes are a snapshot: the incremental engine's
-// reports are detached from analyzer state, so a long-lived client can
-// never observe (or cause) mutation of a later analysis.
+// The served report bytes are a snapshot, and so is every report
+// object the service keeps: the incremental engine never writes a trace
+// after a report holds it, so a long-lived client never observes a
+// later analysis. Report versions share every trace that did not
+// change between them, which makes the history ring cost the change
+// per version, not the corpus. Reports are read-only for that reason.
 package serve
 
 import (
@@ -152,7 +155,7 @@ type appState struct {
 
 	dirty      bool
 	dirtySince time.Time    // first un-analyzed arrival, for staleness
-	report     *core.Report // latest successful analysis (detached)
+	report     *core.Report // latest successful analysis (read-only, shared)
 	reportJSON []byte       // its serialized form, served verbatim
 	version    int64        // bumps on every successful install
 	etag       string       // strong ETag: content hash of reportJSON
@@ -166,8 +169,10 @@ type appState struct {
 }
 
 // historyEntry is one retained report version: the snapshot metadata
-// the history endpoint serves plus the detached report itself, kept so
-// /analysis/diff can compare any two versions still in the ring.
+// the history endpoint serves plus the report itself, kept so
+// /analysis/diff can compare any two versions still in the ring. The
+// report shares its unchanged traces with its neighbours in the ring,
+// so retaining a version costs only the traces it re-analyzed.
 type historyEntry struct {
 	snap   Snapshot
 	report *core.Report
@@ -570,11 +575,11 @@ func (s *Service) Statuses() []AppStatus {
 	return out
 }
 
-// AppReport returns the app's current detached report with its snapshot
+// AppReport returns the app's current report with its snapshot
 // metadata. ok is false when the app is unknown; a tracked-but-not-yet-
 // analyzed app returns ok with a nil report. Callers must treat the
-// report as read-only — it is the same detached object served over
-// HTTP, shared across readers.
+// report as read-only — it is the same object served over HTTP, shared
+// across readers, with the history ring and with the analyzer.
 func (s *Service) AppReport(app string) (report *core.Report, snap Snapshot, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // TestETagRoundTrip: the report endpoint serves a strong ETag, answers a
@@ -425,6 +426,76 @@ func TestHistoryRing(t *testing.T) {
 	if rr := getCode(h, "/analysis/report/history"); rr != 400 {
 		t.Fatalf("history without app: %d", rr)
 	}
+}
+
+// TestHistoryVersionsRace reads every retained report version while a
+// writer keeps re-analyzing the app. Retained versions share their
+// unchanged traces with each other and with the analyzer, so each must
+// still marshal to the bytes its ETag was computed from, and any
+// in-place write to a shared trace shows up here as a race under -race.
+func TestHistoryVersionsRace(t *testing.T) {
+	bundles := testCorpus(t, 8, 67)
+	svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour, HistoryCap: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, b := range bundles[:6] {
+		svc.Notify(b)
+	}
+	svc.Flush()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 12; i++ {
+			b := bundles[i%len(bundles)]
+			svc.Remove("k9mail", trace.ContentKey(b))
+			svc.Flush()
+			svc.Notify(b)
+			svc.Flush()
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				svc.mu.Lock()
+				history := append([]historyEntry(nil), svc.apps["k9mail"].history...)
+				svc.mu.Unlock()
+				for i, e := range history {
+					data, err := json.Marshal(e.report)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if etagFor(data) != e.snap.ETag {
+						t.Errorf("retained version %d no longer marshals to the bytes behind its ETag", e.snap.Version)
+						return
+					}
+					if i == 0 {
+						continue
+					}
+					// A version may age out of the ring between the copy
+					// and the diff; only an unknown app is a failure.
+					if _, ok, _ := svc.DiffVersions("k9mail", history[i-1].snap.Version, e.snap.Version); !ok {
+						t.Error("DiffVersions lost the app")
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMethodHygiene: all read endpoints reject non-GET with 405 + Allow.
