@@ -25,7 +25,8 @@
 // The -serve-analysis flag turns the collector into an online
 // diagnosis service: accepted bundles feed per-app incremental
 // analyzers (Step-1 results cached by content key), re-analysis is
-// debounced behind upload bursts, and the latest report per app is
+// debounced per app behind upload bursts (a quiet period of the app's
+// last flush cost, at most -analysis-debounce), and the latest report per app is
 // served under /analysis/ on the debug mux — versioned (strong ETag,
 // If-None-Match/304, ?wait= long-poll), with a snapshot history ring,
 // a live SSE update stream and read-only what-if re-analysis:
@@ -99,7 +100,7 @@ func run() error {
 		maxRecords   = flag.Int("max-records", 0, "reject bundles with more event records than this (0 = default)")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/vars and /debug/pprof on this address ('' = disabled)")
 		serveAnal    = flag.Bool("serve-analysis", false, "incrementally re-analyze ingested bundles and serve the latest per-app report under /analysis/ on -debug-addr")
-		analDebounce = flag.Duration("analysis-debounce", 500*time.Millisecond, "quiet period after the last upload before a dirty app is re-analyzed")
+		analDebounce = flag.Duration("analysis-debounce", 500*time.Millisecond, "upper bound on each app's quiet period after its last upload before it is re-analyzed; the quiet period is the app's last flush cost")
 		analCache    = flag.Int("analysis-cache", 0, "per-app Step-1 result cache capacity in bundles (0 = default)")
 		logLevel     = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat    = flag.String("log-format", "text", "log output format: text|json")

@@ -63,8 +63,8 @@ type stepOneResult struct {
 // stepCache is a concurrency-safe, bounded LRU of Step-1 outputs keyed
 // by bundle content key. Cached AnalyzedTraces are pristine Step-1
 // outputs and must never be handed to Steps 2–5 directly — callers
-// clone them (AnalyzedTrace.cloneStepOne) so reports cannot alias
-// cache state.
+// take a fresh header (AnalyzedTrace.cloneStepOne), which shares only
+// the never-written Events and keyIDs columns with the cache.
 type stepCache struct {
 	mu       sync.Mutex
 	capacity int

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -145,5 +147,78 @@ func TestEvictionThenRecomputeEquivalence(t *testing.T) {
 	}
 	if st.Hits+st.Misses != st.Lookups {
 		t.Fatalf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, st.Lookups)
+	}
+}
+
+// TestStepOneEventsSharedAndNeverWritten pins the Step-1 column
+// sharing: the cache, the analyzer's trace entries and the served
+// reports hold one Events vector and one key-ID column per trace, and
+// no stage of an add/remove/re-add/report cycle writes either — every
+// cached vector stays byte-identical to a fresh estimate of its bundle.
+func TestStepOneEventsSharedAndNeverWritten(t *testing.T) {
+	corpus := multiDeviceCorpus(t, 83)
+	inc, err := NewIncrementalAnalyzer(DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles := corpus.Bundles
+	keys := make([]string, len(bundles))
+	for i, b := range bundles {
+		keys[i], _ = inc.Add(b)
+	}
+	report := func() *Report {
+		t.Helper()
+		r, _, err := inc.ReportJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	last := report()
+	for r := 0; r < 2*len(bundles); r++ {
+		i := r % len(bundles)
+		inc.Remove(keys[i])
+		report()
+		inc.Add(bundles[i])
+		last = report()
+	}
+
+	served := make(map[string]*AnalyzedTrace, len(last.Traces))
+	for _, at := range last.Traces {
+		served[at.TraceID] = at
+	}
+	for i, b := range bundles {
+		res, ok := inc.cache.get(keys[i])
+		if !ok || res.err != nil {
+			t.Fatalf("bundle %d: no cached Step-1 result (ok=%v err=%v)", i, ok, res.err)
+		}
+		fresh, err := inc.a.estimateEvents(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fresh.Events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(res.at.Events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("bundle %d: cached Events differ from a fresh estimate: a stage wrote a shared vector", i)
+		}
+		if !reflect.DeepEqual(res.at.keyIDs, fresh.keyIDs) {
+			t.Fatalf("bundle %d: cached key-ID column differs from a fresh estimate", i)
+		}
+		if len(res.at.Events) == 0 {
+			continue
+		}
+		e := inc.cs.entries[keys[i]]
+		if e == nil || &e.at.Events[0] != &res.at.Events[0] || &e.at.keyIDs[0] != &res.at.keyIDs[0] {
+			t.Fatalf("bundle %d: the analyzer's entry holds its own copy of the Step-1 columns", i)
+		}
+		if at := served[b.Event.TraceID]; at == nil || &at.Events[0] != &res.at.Events[0] {
+			t.Fatalf("bundle %d: the served report does not share the cached Events vector", i)
+		}
 	}
 }

@@ -23,27 +23,22 @@ var (
 	gIncCorpus   = obs.Default.Gauge("core_incremental_corpus_bundles", "bundles currently in the most recently reported incremental corpus")
 )
 
-// cloneStepOne returns a fresh pristine Step-1 copy of the trace:
-// identity fields and a deep copy of the Events vector, with every
+// cloneStepOne returns a fresh pristine Step-1 header for the trace:
+// identity fields, the Events vector and its key-ID column, with every
 // derived (Steps 2–5) field zero — exactly the state estimateEvents
-// leaves a new trace in. Both directions of aliasing are severed: Steps
-// 2–5 mutate only the clone (the cached original stays pristine), and a
-// caller holding a long-lived served report cannot reach cache state
-// through it.
+// leaves a new trace in. Events and keyIDs are shared with the cached
+// original, not copied: no stage writes either (Steps 2–5 write fresh
+// derived columns, and ensureKeyIDs only ever allocates a new column),
+// so the cache, the analyzer's entries and every served report may all
+// hold one copy. The header itself is fresh, so Steps 2–5 filling in
+// the clone never reach the cached original.
 func (at *AnalyzedTrace) cloneStepOne() *AnalyzedTrace {
-	events := make([]EventPower, len(at.Events))
-	copy(events, at.Events)
-	var ids []uint32
-	if at.keyIDs != nil {
-		ids = make([]uint32, len(at.keyIDs))
-		copy(ids, at.keyIDs)
-	}
 	return &AnalyzedTrace{
 		TraceID: at.TraceID,
 		UserID:  at.UserID,
 		Device:  at.Device,
-		Events:  events,
-		keyIDs:  ids,
+		Events:  at.Events,
+		keyIDs:  at.keyIDs,
 	}
 }
 

@@ -113,7 +113,9 @@ func TestMetamorphicPowerScalingCovariance(t *testing.T) {
 		base := stepOneAllOrFatal(t, analyzer, corpus.Bundles)
 		scaled := make([]*AnalyzedTrace, len(base))
 		for i, at := range base {
+			// cloneStepOne shares Events with base; scale a copy.
 			c := at.cloneStepOne()
+			c.Events = append([]EventPower(nil), at.Events...)
 			for j := range c.Events {
 				c.Events[j].PowerMW *= k
 			}

@@ -40,8 +40,10 @@ const (
 	// fleetChunk is how many sessions one Upload call carries: one TCP
 	// connection, one hello exchange, chunk acks.
 	fleetChunk = 100
-	// fleetDebounce is the serving layer's quiet period; report
-	// staleness under sustained load oscillates around it.
+	// fleetDebounce bounds each app's quiet period; the quiet period
+	// itself is the app's last flush cost, so under sustained load an
+	// app's report staleness is bounded by about 11 of its own flush
+	// costs, not by this bound or by other apps' traffic.
 	fleetDebounce = 200 * time.Millisecond
 	// fleetSamplePeriod is how often the staleness probe reads
 	// Service.OldestDirtyAge.

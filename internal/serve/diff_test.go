@@ -43,18 +43,11 @@ func diffTestService(t *testing.T) (*Service, trace.EventKey) {
 	}
 	svc.Flush() // version 1: the baseline
 
-	// Sync the corpus to the candidate version: add its bundles, retract
-	// the baseline's bundles that did not survive the edit.
-	live := make(map[string]bool, len(corpora[1]))
-	for _, b := range corpora[1] {
-		live[trace.ContentKey(b)] = true
-		svc.Notify(b)
-	}
-	for _, b := range corpora[0] {
-		if key := trace.ContentKey(b); !live[key] {
-			svc.Remove("k9mail", key)
-		}
-	}
+	// Sync the corpus to the candidate version in one step: add its
+	// bundles, retract the baseline's bundles that did not survive the
+	// edit. Separate Notify and Remove calls could straddle a scheduled
+	// flush and split the hop across versions.
+	svc.SyncCorpus("k9mail", corpora[1])
 	svc.Flush() // version 2: the regressed candidate
 	return svc, chain.Culprit
 }

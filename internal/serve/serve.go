@@ -1,10 +1,17 @@
 // Package serve turns the EnergyDx backend from a batch pipeline into
 // an online service: it keeps one incremental analyzer
 // (core.IncrementalAnalyzer) per app, re-analyzes a corpus shortly
-// after new bundles arrive (debounced, so an upload burst costs one
-// re-analysis rather than one per bundle), and serves the latest
+// after new bundles arrive (debounced per app, so an upload burst costs
+// one re-analysis rather than one per bundle), and serves the latest
 // diagnosis report per app over HTTP — mounted on the same debug mux
 // that serves /metrics (collectd -serve-analysis).
+//
+// Each app is scheduled on its own deadline. Its quiet period — how
+// long it waits after its latest arrival — is the measured cost of its
+// last flush, capped at Config.Debounce, and a continuous arrival
+// stream defers it at most maxDelayFactor quiet periods from its first
+// un-analyzed arrival. Traffic to one app never moves another app's
+// deadline, and a flush of cost C is followed by at least C of quiet.
 //
 // Every installed report is a versioned snapshot: a per-app
 // monotonically increasing version plus a strong ETag (content hash of
@@ -64,6 +71,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -75,6 +83,7 @@ var (
 	mNotifies = obs.Default.Counter("serve_notifies_total", "bundle arrivals offered to the serving layer")
 	mErrors   = obs.Default.Counter("serve_analysis_errors_total", "per-app re-analyses that failed")
 	hAnalysis = obs.Default.Histogram("serve_analysis_seconds", "wall time of one debounced per-app re-analysis", nil)
+	hQuiet    = obs.Default.Histogram("serve_quiet_period_seconds", "per-app quiet period each flush leaves for the app's next arrivals", nil)
 	mRemoves  = obs.Default.Counter("serve_removes_total", "bundle retractions accepted by the serving layer")
 	mNotMod   = obs.Default.Counter("serve_report_not_modified_total", "report requests answered 304 from the client's ETag")
 	mPollPark = obs.Default.Counter("serve_longpoll_parked_total", "report long-polls that parked waiting for the next snapshot")
@@ -90,9 +99,11 @@ type Config struct {
 	// CacheCap bounds each app's Step-1 LRU cache (<= 0 means
 	// core.DefaultStepCacheCap).
 	CacheCap int
-	// Debounce is the quiet period after the last arrival before a
-	// dirty app is re-analyzed (default 500ms). Shorter means fresher
-	// reports; longer coalesces bursts harder.
+	// Debounce bounds each app's quiet period: how long a dirty app
+	// waits after its latest arrival before it is re-analyzed (default
+	// 500ms). The quiet period itself is the app's last flush cost, so a
+	// cheap app refreshes sooner; an app not yet flushed waits the full
+	// Debounce.
 	Debounce time.Duration
 	// HistoryCap bounds the per-app snapshot-history ring (default 32).
 	HistoryCap int
@@ -106,9 +117,11 @@ type Config struct {
 
 // Fixed serving-layer limits.
 const (
-	// maxDelayFactor caps, as a multiple of Debounce, how long a
-	// continuously-arriving stream can defer re-analysis: under
-	// sustained load the report still refreshes at least this often.
+	// maxDelayFactor caps, as a multiple of an app's quiet period and
+	// counted from its first un-analyzed arrival, how long a
+	// continuously-arriving stream can defer that app's re-analysis:
+	// under sustained load the report still refreshes at least this
+	// often.
 	maxDelayFactor = 10
 	// topKeys is how many leading event keys a snapshot summary carries.
 	topKeys = 5
@@ -153,19 +166,21 @@ type Snapshot struct {
 type appState struct {
 	inc *core.IncrementalAnalyzer
 
-	dirty      bool
-	dirtySince time.Time    // first un-analyzed arrival, for staleness
-	report     *core.Report // latest successful analysis (read-only, shared)
-	reportJSON []byte       // its serialized form, served verbatim
-	version    int64        // bumps on every successful install
-	etag       string       // strong ETag: content hash of reportJSON
-	summary    core.ReportSummary
-	analyzedAt time.Time
-	lastWall   time.Duration
-	analyses   int64
-	lastErr    string
-	history    []historyEntry // ring of the last HistoryCap versions
-	waitCh     chan struct{}  // closed on install; wakes long-polls
+	dirtySince  time.Time     // first un-analyzed arrival: staleness, max-delay cap
+	lastArrival time.Time     // latest un-analyzed arrival: quiet-period deadline
+	cost        time.Duration // last flush, ReportJSON through install (0: none yet)
+	flushedAt   time.Time     // when the last flush finished
+	report      *core.Report  // latest successful analysis (read-only, shared)
+	reportJSON  []byte        // its serialized form, served verbatim
+	version     int64         // bumps on every successful install
+	etag        string        // strong ETag: content hash of reportJSON
+	summary     core.ReportSummary
+	analyzedAt  time.Time
+	lastWall    time.Duration
+	analyses    int64
+	lastErr     string
+	history     []historyEntry // ring of the last HistoryCap versions
+	waitCh      chan struct{}  // closed on install; wakes long-polls
 }
 
 // historyEntry is one retained report version: the snapshot metadata
@@ -178,18 +193,23 @@ type historyEntry struct {
 	report *core.Report
 }
 
-// Service owns the per-app incremental analyzers and the debounce
-// machinery. Create with New, feed with Notify (typically wired as
+// Service owns the per-app incremental analyzers and the per-app flush
+// scheduler. Create with New, feed with Notify (typically wired as
 // collect.WithIngestHook), serve with Handler, stop with Close.
 type Service struct {
 	cfg Config
 	hub *hub
 
-	mu         sync.Mutex
-	apps       map[string]*appState
-	timer      *time.Timer
-	firstDirty time.Time // first un-flushed Notify, for the max-delay cap
-	closed     bool
+	mu   sync.Mutex
+	apps map[string]*appState
+	// dirty holds the apps with arrivals not yet taken by a flush, so
+	// the scheduler's scans cost the dirty set, not the fleet.
+	dirty  map[string]*appState
+	closed bool
+	// wake nudges the scheduler (run) to recompute its next deadline:
+	// an app turned dirty, or the service closed. One pending nudge is
+	// enough, so senders never block.
+	wake chan struct{}
 
 	// snapMu guards the cached fleet metrics snapshot so one /metrics
 	// scrape takes the service lock once, not once per gauge (and walks
@@ -198,9 +218,9 @@ type Service struct {
 	snapAt time.Time
 	snap   fleetSnap
 
-	// flushMu serializes re-analysis passes so two timer firings (or a
-	// timer racing an explicit Flush) never analyze the same app
-	// concurrently or store results out of order.
+	// flushMu serializes flush passes, so a scheduled pass racing an
+	// explicit Flush never analyzes one app twice at once or installs
+	// its reports out of order. A pass takes each app at most once.
 	flushMu sync.Mutex
 	wg      sync.WaitGroup
 }
@@ -214,10 +234,14 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Service{
-		cfg:  cfg,
-		hub:  newHub(streamReplay, cfg.StreamQueue),
-		apps: make(map[string]*appState),
+		cfg:   cfg,
+		hub:   newHub(streamReplay, cfg.StreamQueue),
+		apps:  make(map[string]*appState),
+		dirty: make(map[string]*appState),
+		wake:  make(chan struct{}, 1),
 	}
+	s.wg.Add(1)
+	go s.run()
 	// All fleet gauges read the one cached snapshot: a scrape exports
 	// five gauges for one service-lock acquisition and one summary walk.
 	obs.Default.GaugeFunc("serve_apps_tracked", "apps with a live incremental analyzer", func() float64 {
@@ -271,20 +295,17 @@ func (s *Service) metricsSnap() fleetSnap {
 	var fs fleetSnap
 	now := time.Now()
 	s.mu.Lock()
-	fs.apps = len(s.apps)
-	for _, st := range s.apps {
-		if st.dirty {
-			fs.dirty++
-			ref := st.analyzedAt
-			if ref.IsZero() {
-				ref = st.dirtySince
-			}
-			if !ref.IsZero() {
-				if age := now.Sub(ref).Seconds(); age > fs.staleness {
-					fs.staleness = age
-				}
-			}
+	fs.apps, fs.dirty = len(s.apps), len(s.dirty)
+	for _, st := range s.dirty {
+		ref := st.analyzedAt
+		if ref.IsZero() {
+			ref = st.dirtySince
 		}
+		if age := now.Sub(ref).Seconds(); age > fs.staleness {
+			fs.staleness = age
+		}
+	}
+	for _, st := range s.apps {
 		ss := st.inc.SummaryStats()
 		fs.summaryKeys += float64(ss.Keys)
 		fs.summaryBytes += float64(ss.Bytes)
@@ -313,44 +334,152 @@ func (s *Service) Notify(b *trace.TraceBundle) {
 	mNotifies.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	st := s.appLocked(b.Event.AppID)
+	if st == nil {
 		return
-	}
-	st, ok := s.apps[b.Event.AppID]
-	if !ok {
-		inc, err := core.NewIncrementalAnalyzer(s.cfg.Analysis, s.cfg.CacheCap)
-		if err != nil {
-			// New() validated the config; this cannot fail afterwards.
-			s.cfg.Logger.Error("serve: analyzer construction failed", "app", b.Event.AppID, "err", err)
-			return
-		}
-		st = &appState{inc: inc}
-		s.apps[b.Event.AppID] = st
 	}
 	if _, added := st.inc.Add(b); !added {
 		return // duplicate content: nothing changed, no re-analysis
 	}
-	s.scheduleLocked(st)
+	s.scheduleLocked(b.Event.AppID, st)
 }
 
-// scheduleLocked marks the app dirty and (re)arms the debounce timer.
-// Callers hold s.mu.
-func (s *Service) scheduleLocked(st *appState) {
-	now := time.Now()
-	if !st.dirty {
-		st.dirty = true
-		st.dirtySince = now
+// SyncCorpus makes bundles, in order, the app's whole corpus in one
+// step: it adds each bundle not yet present and retracts every other
+// one, and returns how many it added and retracted. No flush can take
+// the app halfway through, so the change lands as one report version —
+// what a version-diff workload needs when the app's quiet period is
+// shorter than a run of separate Notify and Remove calls. The bundles
+// must belong to app. It holds the service lock throughout, so keep it
+// off the ingest hot path.
+func (s *Service) SyncCorpus(app string, bundles []*trace.TraceBundle) (added, removed int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.appLocked(app)
+	if st == nil {
+		return 0, 0
 	}
-	switch {
-	case s.timer == nil:
-		s.firstDirty = now
-		s.timer = time.AfterFunc(s.cfg.Debounce, s.flushAsync)
-	case now.Sub(s.firstDirty) < maxDelayFactor*s.cfg.Debounce:
-		// Still inside the burst window: push the deadline out.
-		s.timer.Reset(s.cfg.Debounce)
+	live := make(map[string]bool, len(bundles))
+	for _, b := range bundles {
+		key, ok := st.inc.Add(b)
+		live[key] = true
+		if ok {
+			added++
+		}
+	}
+	for _, key := range st.inc.Keys() {
+		if !live[key] && st.inc.Remove(key) {
+			removed++
+		}
+	}
+	mRemoves.Add(int64(removed))
+	if added+removed > 0 {
+		s.scheduleLocked(app, st)
+	}
+	return added, removed
+}
+
+// appLocked returns the app's serving state, creating its analyzer on
+// first use; nil once the service is closed. Callers hold s.mu.
+func (s *Service) appLocked(app string) *appState {
+	if s.closed {
+		return nil
+	}
+	st, ok := s.apps[app]
+	if !ok {
+		inc, err := core.NewIncrementalAnalyzer(s.cfg.Analysis, s.cfg.CacheCap)
+		if err != nil {
+			// New() validated the config; this cannot fail afterwards.
+			s.cfg.Logger.Error("serve: analyzer construction failed", "app", app, "err", err)
+			return nil
+		}
+		st = &appState{inc: inc}
+		s.apps[app] = st
+	}
+	return st
+}
+
+// scheduleLocked marks the app dirty and records the arrival its
+// quiet period counts from. Callers hold s.mu.
+func (s *Service) scheduleLocked(app string, st *appState) {
+	now := time.Now()
+	st.lastArrival = now
+	if _, ok := s.dirty[app]; ok {
+		// Already scheduled: a later arrival only moves this app's
+		// deadline later, and the scheduler re-reads it when it wakes.
+		return
+	}
+	s.dirty[app] = st
+	st.dirtySince = now
+	s.nudge()
+}
+
+// nudge wakes the scheduler without blocking.
+func (s *Service) nudge() {
+	select {
+	case s.wake <- struct{}{}:
 	default:
-		// Max delay exceeded: leave the pending timer alone so the flush
-		// fires even under a sustained arrival stream.
+	}
+}
+
+// quiet is the app's quiet period: the cost of its last flush, capped
+// at Config.Debounce. An app never flushed waits the full Debounce.
+func (s *Service) quiet(st *appState) time.Duration {
+	if st.cost <= 0 || st.cost > s.cfg.Debounce {
+		return s.cfg.Debounce
+	}
+	return st.cost
+}
+
+// deadline is when a dirty app is due: one quiet period after its
+// latest arrival, but no later than maxDelayFactor quiet periods after
+// its first un-analyzed one, and no sooner than one quiet period after
+// its last flush finished.
+func (s *Service) deadline(st *appState) time.Time {
+	q := s.quiet(st)
+	due := st.lastArrival.Add(q)
+	if limit := st.dirtySince.Add(maxDelayFactor * q); limit.Before(due) {
+		due = limit
+	}
+	if rest := st.flushedAt.Add(q); due.Before(rest) {
+		due = rest
+	}
+	return due
+}
+
+// run is the scheduler: it sleeps until the earliest dirty app's
+// deadline (or a nudge), then flushes every app that is due.
+func (s *Service) run() {
+	defer s.wg.Done()
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return
+		}
+		var next time.Time
+		for _, st := range s.dirty {
+			if due := s.deadline(st); next.IsZero() || due.Before(next) {
+				next = due
+			}
+		}
+		s.mu.Unlock()
+
+		if next.IsZero() {
+			<-s.wake
+			continue
+		}
+		wait := time.Until(next)
+		if wait <= 0 {
+			s.flush(time.Now())
+			continue
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-s.wake:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
 }
 
@@ -373,24 +502,8 @@ func (s *Service) Remove(app, key string) bool {
 		return false
 	}
 	mRemoves.Inc()
-	s.scheduleLocked(st)
+	s.scheduleLocked(app, st)
 	return true
-}
-
-// flushAsync is the timer callback: run the flush off the timer
-// goroutine, tracked for Close.
-func (s *Service) flushAsync() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		s.Flush()
-	}()
 }
 
 // etagFor derives the strong ETag of a serialized report snapshot: a
@@ -403,82 +516,107 @@ func etagFor(data []byte) string {
 
 // Flush synchronously re-analyzes every dirty app and installs the new
 // report snapshots (version bump, ETag, history entry), wakes parked
-// long-polls, and publishes one stream event per installed snapshot. It
-// is the debounce timer's target and may also be called directly
-// (tests, the /analysis/flush endpoint, startup warm-up).
-func (s *Service) Flush() {
+// long-polls, and publishes one stream event per installed snapshot.
+// The scheduler runs the same pass over the apps that are due; Flush
+// may also be called directly (tests, the /analysis/flush endpoint,
+// startup warm-up), and then waits out any pass in flight first.
+func (s *Service) Flush() { s.flush(time.Time{}) }
+
+// flushJob is one app taken for a flush pass.
+type flushJob struct {
+	app string
+	st  *appState
+	due time.Time
+}
+
+// flush runs one pass over the dirty apps due by dueBy (every dirty app
+// when dueBy is zero), in earliest-deadline order on at most
+// Analysis.Parallelism workers; at one worker it is a serial loop.
+func (s *Service) flush(dueBy time.Time) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 
 	s.mu.Lock()
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	type job struct {
-		app string
-		st  *appState
-	}
-	var jobs []job
-	for app, st := range s.apps {
-		if st.dirty {
-			st.dirty = false
-			st.dirtySince = time.Time{}
-			jobs = append(jobs, job{app, st})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].app < jobs[j].app })
-
-	for _, j := range jobs {
-		start := time.Now()
-		// Analyzer-internal locking; s.mu not held. The body, its hash
-		// and the summary are computed before taking s.mu, so Notify on
-		// the ack path never waits behind them.
-		report, data, err := j.st.inc.ReportJSON()
-		analyzedAt := time.Now()
-		wall := analyzedAt.Sub(start)
-		mAnalyses.Inc()
-		hAnalysis.Observe(wall.Seconds())
-		cs := j.st.inc.CacheStats()
-		var snap Snapshot
-		if err == nil {
-			snap = Snapshot{
-				ETag:       etagFor(data),
-				AnalyzedAt: analyzedAt.UTC().Format(time.RFC3339Nano),
-				WallMillis: float64(wall) / float64(time.Millisecond),
-				Summary:    report.Summarize(topKeys),
-			}
-		}
-		s.mu.Lock()
-		j.st.analyses++
-		j.st.analyzedAt = analyzedAt
-		j.st.lastWall = wall
-		if err != nil {
-			j.st.lastErr = err.Error()
-			s.mu.Unlock()
-			mErrors.Inc()
-			s.cfg.Logger.Error("re-analysis failed", "app", j.app, "err", err)
+	var jobs []flushJob
+	for app, st := range s.dirty {
+		due := s.deadline(st)
+		if !dueBy.IsZero() && due.After(dueBy) {
 			continue
 		}
-		j.st.lastErr = ""
-		snap = s.installLocked(j.st, report, data, snap)
-		s.mu.Unlock()
-		s.hub.publish(Event{App: j.app, Snapshot: snap})
-		s.cfg.Logger.Info("re-analyzed corpus",
-			"app", j.app, "version", snap.Version, "traces", report.TotalTraces,
-			"skipped", len(report.Skipped), "impacted_traces", report.ImpactedTraces,
-			"wall", wall.Round(time.Microsecond),
-			"step1_cache_hit_rate", fmt.Sprintf("%.3f", cs.HitRate()))
+		delete(s.dirty, app)
+		st.dirtySince, st.lastArrival = time.Time{}, time.Time{}
+		jobs = append(jobs, flushJob{app, st, due})
 	}
+	s.mu.Unlock()
+	sort.Slice(jobs, func(i, j int) bool {
+		if !jobs[i].due.Equal(jobs[j].due) {
+			return jobs[i].due.Before(jobs[j].due)
+		}
+		return jobs[i].app < jobs[j].app
+	})
+	_ = parallel.ForEach(s.cfg.Analysis.Parallelism, len(jobs), func(i int) error {
+		s.flushApp(jobs[i].app, jobs[i].st)
+		return nil
+	})
 	s.invalidateMetricsSnap()
+}
+
+// flushApp re-analyzes one app and installs the result. Its cost — the
+// wall time from the start of ReportJSON through ETag, summary and
+// install — becomes the app's next quiet period.
+func (s *Service) flushApp(app string, st *appState) {
+	start := time.Now()
+	// Analyzer-internal locking; s.mu not held. The body, its hash and
+	// the summary are computed before taking s.mu, so Notify on the ack
+	// path never waits behind them.
+	report, data, err := st.inc.ReportJSON()
+	analyzedAt := time.Now()
+	wall := analyzedAt.Sub(start)
+	mAnalyses.Inc()
+	hAnalysis.Observe(wall.Seconds())
+	cs := st.inc.CacheStats()
+	var snap Snapshot
+	if err == nil {
+		snap = Snapshot{
+			ETag:       etagFor(data),
+			AnalyzedAt: analyzedAt.UTC().Format(time.RFC3339Nano),
+			WallMillis: float64(wall) / float64(time.Millisecond),
+			Summary:    report.Summarize(topKeys),
+		}
+	}
+	s.mu.Lock()
+	st.analyses++
+	st.analyzedAt = analyzedAt
+	st.lastWall = wall
+	if err != nil {
+		st.lastErr = err.Error()
+	} else {
+		st.lastErr = ""
+		snap = s.installLocked(st, report, data, snap)
+	}
+	st.flushedAt = time.Now()
+	st.cost = st.flushedAt.Sub(start)
+	quiet := s.quiet(st)
+	s.mu.Unlock()
+	hQuiet.Observe(quiet.Seconds())
+	if err != nil {
+		mErrors.Inc()
+		s.cfg.Logger.Error("re-analysis failed", "app", app, "err", err)
+		return
+	}
+	s.hub.publish(Event{App: app, Snapshot: snap})
+	s.cfg.Logger.Info("re-analyzed corpus",
+		"app", app, "version", snap.Version, "traces", report.TotalTraces,
+		"skipped", len(report.Skipped), "impacted_traces", report.ImpactedTraces,
+		"wall", wall.Round(time.Microsecond), "quiet", quiet.Round(time.Microsecond),
+		"step1_cache_hit_rate", fmt.Sprintf("%.3f", cs.HitRate()))
 }
 
 // installLocked stores a freshly analyzed report as the app's current
 // snapshot. snap arrives with everything but the version filled in;
 // installLocked only swaps pointers, bumps the version, appends to the
 // history ring and wakes long-polls, and returns the completed
-// snapshot. Callers hold s.mu; flushMu orders installs.
+// snapshot. Callers hold s.mu; flushMu orders each app's installs.
 func (s *Service) installLocked(st *appState, report *core.Report, data []byte, snap Snapshot) Snapshot {
 	st.version++
 	snap.Version = st.version
@@ -500,17 +638,14 @@ func (s *Service) installLocked(st *appState, report *core.Report, data []byte, 
 	return snap
 }
 
-// Close stops the debounce timer, waits for in-flight flushes, wakes
+// Close stops the scheduler, waits for an in-flight flush pass, wakes
 // parked long-polls, and terminates the event stream (subscribers see
 // their channel closed). Pending dirty apps are not analyzed; callers
 // wanting a final report call Flush first.
 func (s *Service) Close() {
 	s.mu.Lock()
 	s.closed = true
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
+	s.nudge()
 	for _, st := range s.apps {
 		if st.waitCh != nil {
 			close(st.waitCh)
@@ -525,17 +660,25 @@ func (s *Service) Close() {
 // AppStatus is one row of the /analysis/apps listing (and the
 // dashboard's fleet overview).
 type AppStatus struct {
-	App            string             `json:"app"`
-	Version        int64              `json:"version"`
-	ETag           string             `json:"etag,omitempty"`
-	Traces         int                `json:"traces"`
-	Dirty          bool               `json:"dirty"`
-	Analyses       int64              `json:"analyses"`
-	LastAnalysisMS float64            `json:"lastAnalysisMillis"`
-	AnalyzedAt     string             `json:"analyzedAt,omitempty"`
-	LastError      string             `json:"lastError,omitempty"`
-	Summary        core.ReportSummary `json:"summary"`
-	Cache          core.CacheStats    `json:"step1Cache"`
+	App            string  `json:"app"`
+	Version        int64   `json:"version"`
+	ETag           string  `json:"etag,omitempty"`
+	Traces         int     `json:"traces"`
+	Dirty          bool    `json:"dirty"`
+	Analyses       int64   `json:"analyses"`
+	LastAnalysisMS float64 `json:"lastAnalysisMillis"`
+	// FlushCostMS is the wall time of the app's last flush: its
+	// re-analysis (LastAnalysisMS) plus ETag, summary and install.
+	FlushCostMS float64 `json:"flushCostMillis"`
+	// QuietPeriodMS is how long the app waits after its latest arrival
+	// before it is re-analyzed: FlushCostMS capped at Config.Debounce,
+	// or Debounce itself before the first flush. A continuous stream
+	// defers it at most maxDelayFactor times this.
+	QuietPeriodMS float64            `json:"quietPeriodMillis"`
+	AnalyzedAt    string             `json:"analyzedAt,omitempty"`
+	LastError     string             `json:"lastError,omitempty"`
+	Summary       core.ReportSummary `json:"summary"`
+	Cache         core.CacheStats    `json:"step1Cache"`
 	// Summaries is the incremental engine's per-key summary and
 	// dirty-set state (the per-app view of the analysis_summary_* and
 	// analysis_dirty_traces gauges).
@@ -543,15 +686,17 @@ type AppStatus struct {
 }
 
 // statusLocked builds one app's status row. Callers hold s.mu.
-func statusLocked(app string, st *appState) AppStatus {
+func (s *Service) statusLocked(app string, st *appState) AppStatus {
 	row := AppStatus{
 		App:            app,
 		Version:        st.version,
 		ETag:           st.etag,
 		Traces:         st.inc.Len(),
-		Dirty:          st.dirty,
+		Dirty:          s.dirty[app] != nil,
 		Analyses:       st.analyses,
 		LastAnalysisMS: float64(st.lastWall) / float64(time.Millisecond),
+		FlushCostMS:    float64(st.cost) / float64(time.Millisecond),
+		QuietPeriodMS:  float64(s.quiet(st)) / float64(time.Millisecond),
 		LastError:      st.lastErr,
 		Summary:        st.summary,
 		Cache:          st.inc.CacheStats(),
@@ -568,7 +713,7 @@ func (s *Service) Statuses() []AppStatus {
 	s.mu.Lock()
 	out := make([]AppStatus, 0, len(s.apps))
 	for app, st := range s.apps {
-		out = append(out, statusLocked(app, st))
+		out = append(out, s.statusLocked(app, st))
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
@@ -625,11 +770,9 @@ func (s *Service) OldestDirtyAge() time.Duration {
 	defer s.mu.Unlock()
 	now := time.Now()
 	var worst time.Duration
-	for _, st := range s.apps {
-		if st.dirty && !st.dirtySince.IsZero() {
-			if age := now.Sub(st.dirtySince); age > worst {
-				worst = age
-			}
+	for _, st := range s.dirty {
+		if age := now.Sub(st.dirtySince); age > worst {
+			worst = age
 		}
 	}
 	return worst
@@ -780,6 +923,7 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/revision"
 	"repro/internal/serve"
-	"repro/internal/trace"
 )
 
 // diffService installs two report versions of k9mail from a revision
@@ -38,16 +37,8 @@ func diffService(t *testing.T) *serve.Service {
 		svc.Notify(b)
 	}
 	svc.Flush()
-	live := make(map[string]bool, len(corpora[1]))
-	for _, b := range corpora[1] {
-		live[trace.ContentKey(b)] = true
-		svc.Notify(b)
-	}
-	for _, b := range corpora[0] {
-		if key := trace.ContentKey(b); !live[key] {
-			svc.Remove("k9mail", key)
-		}
-	}
+	// One step, so no scheduled flush splits the hop across versions.
+	svc.SyncCorpus("k9mail", corpora[1])
 	svc.Flush()
 	return svc
 }
