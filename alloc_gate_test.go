@@ -78,6 +78,19 @@ func gatedBenchmarks(t *testing.T) map[string]allocEntry {
 	if _, err := inc.Report(); err != nil {
 		t.Fatal(err)
 	}
+	// The same corpus again for the serving path, with every fragment
+	// encoded: each add-reportjson op pays what one flush after one
+	// upload does, which is O(change) — a body-sized buffer fails it.
+	jsonInc, err := core.NewIncrementalAnalyzer(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range corpus.Bundles[:len(corpus.Bundles)-1] {
+		jsonInc.Add(b)
+	}
+	if _, _, err := jsonInc.ReportJSON(); err != nil {
+		t.Fatal(err)
+	}
 
 	benches := map[string]func(b *testing.B){
 		"analyze/serial": func(b *testing.B) {
@@ -121,6 +134,18 @@ func gatedBenchmarks(t *testing.T) map[string]allocEntry {
 				}
 				inc.Remove(key)
 				if _, err := inc.Report(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		"incremental/add-reportjson": func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				key, _ := jsonInc.Add(held)
+				if _, _, err := jsonInc.ReportJSON(); err != nil {
+					b.Fatal(err)
+				}
+				jsonInc.Remove(key)
+				if _, _, err := jsonInc.ReportJSON(); err != nil {
 					b.Fatal(err)
 				}
 			}

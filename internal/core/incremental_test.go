@@ -48,14 +48,40 @@ func reportJSON(t *testing.T, r *core.Report) []byte {
 	return data
 }
 
+// bodyBytes writes a report body out through WriteTo.
+func bodyBytes(t *testing.T, body *core.ReportBody) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := body.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(body.Len()) || buf.Len() != body.Len() {
+		t.Fatalf("WriteTo wrote %d bytes (returned %d), Len() is %d", buf.Len(), n, body.Len())
+	}
+	return buf.Bytes()
+}
+
+// encodeReport is core.EncodeReport that fails the test on error.
+func encodeReport(t *testing.T, r *core.Report) *core.ReportBody {
+	t.Helper()
+	body, err := core.EncodeReport(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // assertReportJSON checks one ReportJSON result against want, the
-// batch oracle's json.Marshal bytes: the returned bytes must equal want,
-// and so must json.Marshal of the returned report.
-func assertReportJSON(t *testing.T, what string, rep *core.Report, data []byte, err error, want []byte) {
+// batch oracle's json.Marshal bytes: the body's bytes must equal want,
+// and so must json.Marshal of the returned report; the body's digest
+// must equal a cold EncodeReport's of that report.
+func assertReportJSON(t *testing.T, what string, rep *core.Report, body *core.ReportBody, err error, want []byte) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("%s: ReportJSON: %v", what, err)
 	}
+	data := bodyBytes(t, body)
 	if !bytes.Equal(data, want) {
 		i := 0
 		for i < len(data) && i < len(want) && data[i] == want[i] {
@@ -67,6 +93,9 @@ func assertReportJSON(t *testing.T, what string, rep *core.Report, data []byte, 
 	}
 	if got := reportJSON(t, rep); !bytes.Equal(got, want) {
 		t.Fatalf("%s: json.Marshal of ReportJSON's report differs from the batch report", what)
+	}
+	if body.Digest != encodeReport(t, rep).Digest {
+		t.Fatalf("%s: ReportJSON's digest differs from EncodeReport's for the same report", what)
 	}
 }
 
@@ -136,7 +165,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				// Alternate which call applies the pending mutations, so
 				// both run the refresh that drops stale fragments.
 				var got, jsonRep *core.Report
-				var gotJSON []byte
+				var gotJSON *core.ReportBody
 				var gotErr, jsonErr error
 				if step%2 == 0 {
 					jsonRep, gotJSON, jsonErr = inc.ReportJSON()
@@ -325,7 +354,7 @@ func TestIncrementalSkipInvalidMatchesBatch(t *testing.T) {
 	}
 	rep, data, jsonErr := strictInc.ReportJSON()
 	if rep != nil || data != nil || jsonErr == nil || jsonErr.Error() != batchErr.Error() {
-		t.Fatalf("strict ReportJSON = (%v, %d bytes, %v), want (nil, 0 bytes, %v)", rep, len(data), jsonErr, batchErr)
+		t.Fatalf("strict ReportJSON = (%v, %v, %v), want (nil, nil, %v)", rep, data, jsonErr, batchErr)
 	}
 }
 
@@ -368,7 +397,7 @@ func TestReportJSONNonFiniteMatchesMarshal(t *testing.T) {
 		switch {
 		case wantErr != nil:
 			if err == nil || err.Error() != wantErr.Error() || rep != nil || data != nil {
-				t.Fatalf("%s: ReportJSON = (%v, %d bytes, %v), want error %v", phase, rep, len(data), err, wantErr)
+				t.Fatalf("%s: ReportJSON = (%v, %v, %v), want error %v", phase, rep, data, err, wantErr)
 			}
 		default:
 			assertReportJSON(t, phase, rep, data, err, wantJSON)
@@ -387,14 +416,15 @@ func TestReportJSONNonFiniteMatchesMarshal(t *testing.T) {
 
 // TestServedReportDetachedFromAnalyzerState pins what a caller holding
 // a long-lived report (an online serving handler's client) may rely on.
-// The returned JSON bytes and the TopEvents/TopKeys results are the
+// The bytes a body writes out and the TopEvents/TopKeys results are the
 // caller's own, and the impact table is built per report: mutating any
 // of them does not change what the analyzer serves next. The per-trace
 // vectors are shared with the analyzer and read-only, so instead of
 // writing to them the test holds every report version across
 // add/remove/re-add rounds that re-rank and re-detect traces, and checks
 // that each held version still marshals to exactly the bytes ReportJSON
-// served for it: the analyzer never writes a trace a report holds.
+// served for it, and that each held body still writes them: the analyzer
+// never writes a trace or a fragment a report holds.
 func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	pool := bundlePool(t, 8, 47)
 	base, extra := pool[:6], pool[6:]
@@ -406,10 +436,11 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	for i, b := range base {
 		keys[i], _ = inc.Add(b)
 	}
-	served, servedJSON, err := inc.ReportJSON()
+	served, servedBody, err := inc.ReportJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
+	servedJSON := bodyBytes(t, servedBody)
 	want := reportJSON(t, served) // snapshot before any mutation
 	if !bytes.Equal(servedJSON, want) {
 		t.Fatal("ReportJSON bytes differ from json.Marshal of its report")
@@ -446,16 +477,17 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	type version struct {
 		what   string
 		report *core.Report
+		body   *core.ReportBody
 		data   []byte
 	}
 	var held []version
 	var rankDirty, detectDirty int
 	hold := func(what string) {
-		rep, data, err := inc.ReportJSON()
+		rep, body, err := inc.ReportJSON()
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		held = append(held, version{what, rep, data})
+		held = append(held, version{what, rep, body, bodyBytes(t, body)})
 		st := inc.SummaryStats()
 		rankDirty += st.RankDirtyTraces
 		detectDirty += st.DetectDirtyTraces
@@ -478,6 +510,9 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	for _, v := range held {
 		if got := reportJSON(t, v.report); !bytes.Equal(got, v.data) {
 			t.Fatalf("%s: the held report no longer marshals to the bytes served for it: a later refresh wrote a shared trace", v.what)
+		}
+		if got := bodyBytes(t, v.body); !bytes.Equal(got, v.data) {
+			t.Fatalf("%s: the held body no longer writes the bytes served for it: a later refresh wrote a shared fragment", v.what)
 		}
 	}
 }
@@ -651,8 +686,10 @@ func TestIncrementalConcurrentUse(t *testing.T) {
 						}
 					}
 				case 2:
-					if r, data, err := inc.ReportJSON(); err == nil {
-						if want, _ := json.Marshal(r); !bytes.Equal(data, want) {
+					if r, body, err := inc.ReportJSON(); err == nil {
+						var got bytes.Buffer
+						_, _ = body.WriteTo(&got)
+						if want, _ := json.Marshal(r); !bytes.Equal(got.Bytes(), want) {
 							t.Errorf("ReportJSON bytes differ from json.Marshal of its report under concurrent churn")
 						}
 					}

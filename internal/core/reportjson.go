@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"io"
 	"time"
 
 	"repro/internal/obs"
@@ -14,8 +17,12 @@ import (
 // the bytes) never changes while the trace is in the corpus, its tail
 // (Steps 3–4) changes only when one of its bases moved, and only the
 // rank column follows every multiset change. ReportJSON therefore keeps
-// each trace's encoding as three fragments on its traceEntry, encodes
-// only the ones a refresh dropped, and concatenates.
+// each trace's encoding as three fragments on its traceEntry, each with
+// the SHA-256 of its bytes, encodes and hashes only the ones a refresh
+// dropped, and returns a ReportBody that shares the fragments instead
+// of copying them into one buffer. The body's digest, which the serving
+// layer's ETag is cut from, hashes the fragments' digests, so it too
+// costs the change, not the corpus.
 //
 // Byte identity with json.Marshal(report) holds because every value is
 // still encoded by encoding/json, exactly as json.Marshal encodes it —
@@ -31,7 +38,7 @@ var (
 	mFragTail = obs.Default.CounterWith("core_report_fragments_encoded_total", "part", "tail",
 		"per-trace report JSON fragments encoded by IncrementalAnalyzer.ReportJSON")
 	hReportEncode = obs.Default.Histogram("core_report_encode_seconds",
-		"wall time IncrementalAnalyzer.ReportJSON spends encoding fragments and assembling the report body", nil)
+		"wall time IncrementalAnalyzer.ReportJSON spends encoding and hashing the fragments a refresh dropped and digesting the report body", nil)
 )
 
 // The writer's hand-written field lists: the JSON keys of Report and
@@ -78,15 +85,25 @@ func (w *fragmentWriter) members(keys []string, vals ...any) error {
 	return nil
 }
 
-// take returns an exactly-sized copy of the buffer and resets it.
-func (w *fragmentWriter) take() []byte {
-	out := bytes.Clone(w.buf.Bytes())
+// fragment is one encoded piece of a report body with the SHA-256 of
+// its bytes, computed once when it is encoded. It is never written
+// after that, so cache entries and report bodies share it.
+type fragment struct {
+	data []byte
+	sum  [sha256.Size]byte
+}
+
+// take returns the buffer as a fragment — an exactly-sized copy and its
+// digest — and resets it.
+func (w *fragmentWriter) take() *fragment {
+	f := &fragment{data: bytes.Clone(w.buf.Bytes())}
+	f.sum = sha256.Sum256(f.data)
 	w.buf.Reset()
-	return out
+	return f
 }
 
 // head encodes `{"traceId":…,"userId":…,"device":…,"events":[…]`.
-func (w *fragmentWriter) head(at *AnalyzedTrace) ([]byte, error) {
+func (w *fragmentWriter) head(at *AnalyzedTrace) (*fragment, error) {
 	w.buf.WriteByte('{')
 	if err := w.members(traceKeys[:4], at.TraceID, at.UserID, at.Device, at.Events); err != nil {
 		return nil, err
@@ -95,7 +112,7 @@ func (w *fragmentWriter) head(at *AnalyzedTrace) ([]byte, error) {
 }
 
 // rank encodes `,"rank":[…]`.
-func (w *fragmentWriter) rank(at *AnalyzedTrace) ([]byte, error) {
+func (w *fragmentWriter) rank(at *AnalyzedTrace) (*fragment, error) {
 	if err := w.members(traceKeys[4:5], at.Rank); err != nil {
 		return nil, err
 	}
@@ -104,7 +121,7 @@ func (w *fragmentWriter) rank(at *AnalyzedTrace) ([]byte, error) {
 
 // tail encodes `,"normPower":…,"amplitude":…,"fence":…,
 // "manifestations":…,"windowKeys":…}`.
-func (w *fragmentWriter) tail(at *AnalyzedTrace) ([]byte, error) {
+func (w *fragmentWriter) tail(at *AnalyzedTrace) (*fragment, error) {
 	if err := w.members(traceKeys[5:], at.NormPower, at.Amplitude, at.Fence, at.Manifestations, at.WindowKeys); err != nil {
 		return nil, err
 	}
@@ -114,18 +131,17 @@ func (w *fragmentWriter) tail(at *AnalyzedTrace) ([]byte, error) {
 
 // fragmentsLocked encodes the fragments the entries are missing and
 // returns every entry's three fragments in corpus order. Callers hold
-// ia.mu; the returned slices may be read after releasing it, because a
-// refresh drops a fragment and a later call encodes a new one — no
+// ia.mu; the returned fragments may be read after releasing it, because
+// a refresh drops a fragment and a later call encodes a new one — no
 // fragment is ever written to after it is cached.
-func fragmentsLocked(entries []*traceEntry) ([][]byte, error) {
-	frags := make([][]byte, 0, 3*len(entries))
+func fragmentsLocked(w *fragmentWriter, entries []*traceEntry) ([]*fragment, error) {
+	frags := make([]*fragment, 0, 3*len(entries))
 	var heads, ranks, tails int64
 	defer func() {
 		mFragHead.Add(heads)
 		mFragRank.Add(ranks)
 		mFragTail.Add(tails)
 	}()
-	w := newFragmentWriter()
 	for _, e := range entries {
 		if e.head == nil {
 			head, err := w.head(e.at)
@@ -156,17 +172,25 @@ func fragmentsLocked(entries []*traceEntry) ([][]byte, error) {
 	return frags, nil
 }
 
-// assembleReport writes the report body around the trace fragments
-// (three per trace, in report.Traces order): the envelope members go
-// through a fragmentWriter, and everything is copied into one
-// exactly-sized buffer.
-func assembleReport(report *Report, frags [][]byte) ([]byte, error) {
-	w := newFragmentWriter()
+// body wraps the trace fragments (three per trace, in report.Traces
+// order) in the report's envelope and digests the whole. The envelope
+// is encoded after the fragments, so an encoding error is the one
+// json.Marshal meets first: the members before "traces" cannot fail.
+func (w *fragmentWriter) body(report *Report, frags []*fragment) (*ReportBody, error) {
 	w.buf.WriteByte('{')
 	if err := w.members(reportKeys[:2], report.AppID, report.TotalTraces); err != nil {
 		return nil, err
 	}
-	pre := w.take()
+	w.buf.WriteString(`,"` + reportKeys[2] + `":`)
+	if report.Traces == nil {
+		w.buf.WriteString("null")
+	} else {
+		w.buf.WriteByte('[')
+	}
+	open := w.take()
+	if report.Traces != nil {
+		w.buf.WriteByte(']')
+	}
 	if err := w.members(reportKeys[3:5], report.Impacted, report.ImpactedTraces); err != nil {
 		return nil, err
 	}
@@ -176,43 +200,127 @@ func assembleReport(report *Report, frags [][]byte) ([]byte, error) {
 		}
 	}
 	w.buf.WriteByte('}')
-	post := w.take()
+	b := &ReportBody{open: open, frags: frags, close: w.take()}
 
-	tracesKey := `,"` + reportKeys[2] + `":[`
-	size := len(pre) + len(tracesKey) + len(frags)/3 + len(post) // commas and ']' included
+	h := sha256.New()
+	h.Write(b.open.sum[:])
+	b.size = len(b.open.data) + len(b.close.data)
+	if n := len(frags) / 3; n > 1 {
+		b.size += n - 1 // commas between traces
+	}
 	for _, f := range frags {
-		size += len(f)
+		h.Write(f.sum[:])
+		b.size += len(f.data)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, pre...)
-	buf = append(buf, tracesKey...)
-	for i := 0; i < len(frags); i += 3 {
+	h.Write(b.close.sum[:])
+	h.Sum(b.Digest[:0])
+	return b, nil
+}
+
+// ReportBody is one encoded report: json.Marshal's bytes of it, held
+// as the envelope plus the per-trace fragments it shares with the
+// analyzer's cache instead of as one contiguous copy. Nothing writes a
+// ReportBody after it is built, so any number of readers may write it
+// out concurrently, for as long as they hold it.
+type ReportBody struct {
+	// Digest is SHA-256 over the SHA-256 digests of the body's parts in
+	// order: the envelope through the traces key's opening bracket (or
+	// null), each trace's head, rank and tail fragments in corpus order,
+	// and the rest of the envelope. The parts' digests determine the bytes, so equal
+	// digests mean equal bodies — whichever engine encoded them — and a
+	// flush hashes only the fragments it re-encoded.
+	Digest [sha256.Size]byte
+
+	open, close *fragment
+	frags       []*fragment // three per trace
+	size        int
+}
+
+// Len returns the body's length in bytes.
+func (b *ReportBody) Len() int { return b.size }
+
+// reportChunk is the write size WriteTo coalesces fragments into, so a
+// 48 MB body reaches the socket in about 200 writes rather than one per
+// fragment.
+const reportChunk = 256 << 10
+
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// WriteTo writes the body to w in reportChunk-sized writes (a fragment
+// larger than a chunk goes out in one write of its own), so at most
+// Len()/reportChunk + 1 calls reach w. It returns the bytes w accepted
+// and the first error w returned.
+func (b *ReportBody) WriteTo(w io.Writer) (int64, error) {
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, min(b.size, reportChunk))
+	// bufio keeps the first write error and turns later writes into
+	// no-ops, so Flush reports it.
+	_, _ = bw.Write(b.open.data)
+	for i := 0; i < len(b.frags); i += 3 {
 		if i > 0 {
-			buf = append(buf, ',')
+			_ = bw.WriteByte(',')
 		}
-		buf = append(buf, frags[i]...)
-		buf = append(buf, frags[i+1]...)
-		buf = append(buf, frags[i+2]...)
+		_, _ = bw.Write(b.frags[i].data)
+		_, _ = bw.Write(b.frags[i+1].data)
+		_, _ = bw.Write(b.frags[i+2].data)
 	}
-	buf = append(buf, ']')
-	return append(buf, post...), nil
+	_, _ = bw.Write(b.close.data)
+	err := bw.Flush()
+	return cw.n, err
+}
+
+// EncodeReport encodes any report cold, through the same fragment
+// writer ReportJSON uses: the body holds json.Marshal(report)'s bytes,
+// and its Digest is what ReportJSON returns for an identical report.
+// On an encoding error it returns json.Marshal's error. Every trace in
+// report.Traces must be non-nil.
+func EncodeReport(report *Report) (*ReportBody, error) {
+	w := newFragmentWriter()
+	frags := make([]*fragment, 0, 3*len(report.Traces))
+	for _, at := range report.Traces {
+		head, err := w.head(at)
+		if err != nil {
+			return nil, err
+		}
+		rank, err := w.rank(at)
+		if err != nil {
+			return nil, err
+		}
+		tail, err := w.tail(at)
+		if err != nil {
+			return nil, err
+		}
+		frags = append(frags, head, rank, tail)
+	}
+	return w.body(report, frags)
 }
 
 // ReportJSON does exactly what Report does and also returns the
-// report's JSON, byte-identical to json.Marshal(report). The body is
-// assembled from per-trace fragments cached across calls, so a call
-// after one more upload encodes the new trace, the re-ranked rank
-// columns and the tails of traces whose bases moved — not the whole
-// corpus. Fragments are encoded under the analyzer lock and
-// concatenated after releasing it. A corpus on the full-replay
-// fallback (non-finite Step-1 powers) is encoded with json.Marshal.
+// report's encoded body, whose bytes are identical to
+// json.Marshal(report). The body is built from per-trace fragments
+// cached across calls, so a call after one more upload encodes and
+// hashes the new trace, the re-ranked rank columns and the tails of
+// traces whose bases moved — not the whole corpus — and copies none of
+// the rest. Fragments are encoded under the analyzer lock; the envelope
+// and digest are built after releasing it. A corpus on the full-replay
+// fallback (non-finite Step-1 powers) is encoded cold by EncodeReport.
 //
-// The report is read-only and shared, as Report's is; the bytes are the
-// caller's own.
+// The report and the body are read-only and shared: the body's
+// fragments are the analyzer's cached ones.
 //
 // On any error — analysis or encoding — both results are nil and the
 // error is the one Report followed by json.Marshal would return.
-func (ia *IncrementalAnalyzer) ReportJSON() (*Report, []byte, error) {
+func (ia *IncrementalAnalyzer) ReportJSON() (*Report, *ReportBody, error) {
 	ia.mu.Lock()
 	report, entries, err := ia.reportLocked()
 	if err != nil {
@@ -220,23 +328,24 @@ func (ia *IncrementalAnalyzer) ReportJSON() (*Report, []byte, error) {
 		return nil, nil, err
 	}
 	start := time.Now()
-	var frags [][]byte
+	w := newFragmentWriter()
+	var frags []*fragment
 	if entries != nil {
-		frags, err = fragmentsLocked(entries)
+		frags, err = fragmentsLocked(w, entries)
 	}
 	ia.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	var data []byte
+	var body *ReportBody
 	if entries == nil {
-		data, err = json.Marshal(report)
+		body, err = EncodeReport(report)
 	} else {
-		data, err = assembleReport(report, frags)
+		body, err = w.body(report, frags)
 	}
 	hReportEncode.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return nil, nil, err
 	}
-	return report, data, nil
+	return report, body, nil
 }

@@ -3,10 +3,12 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // fragmentCounts reads core_report_fragments_encoded_total per part.
@@ -42,11 +44,11 @@ func TestReportJSONEncodesOnlyChangedFragments(t *testing.T) {
 	encode := func(what string) (dHead, dRank, dTail float64, st core.SummaryStats) {
 		t.Helper()
 		h0, r0, t0 := fragmentCounts(t)
-		rep, data, err := inc.ReportJSON()
+		rep, body, err := inc.ReportJSON()
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if want := reportJSON(t, rep); !bytes.Equal(data, want) {
+		if want := reportJSON(t, rep); !bytes.Equal(bodyBytes(t, body), want) {
 			t.Fatalf("%s: ReportJSON bytes differ from json.Marshal of its report", what)
 		}
 		h1, r1, t1 := fragmentCounts(t)
@@ -109,5 +111,74 @@ func TestReportJSONEncodesOnlyChangedFragments(t *testing.T) {
 	}
 	if h != 1 || tl != 1 || r != float64(1+st.RankDirtyTraces) {
 		t.Fatalf("one more copy encoded %v heads, %v ranks, %v tails; want 1, %d, 1", h, r, tl, 1+st.RankDirtyTraces)
+	}
+}
+
+// TestETagFromFragmentDigests pins the digest a served ETag is cut
+// from: across add, remove and re-add churn, the incremental body's
+// bytes equal json.Marshal of batch Analyze over the same corpus, and
+// its Digest — built from cached per-fragment digests, only the
+// re-encoded fragments hashed anew — equals EncodeReport's cold digest
+// of the batch report. A refresh that drops a fragment's bytes but
+// keeps a stale digest fails here even though the bytes are right.
+func TestETagFromFragmentDigests(t *testing.T) {
+	pool := bundlePool(t, 12, 73)
+	batch, err := core.NewAnalyzer(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus []*trace.TraceBundle // the oracle: live bundles in insertion order
+	keys := make(map[*trace.TraceBundle]string)
+	add := func(b *trace.TraceBundle) {
+		keys[b], _ = inc.Add(b)
+		corpus = append(corpus, b)
+	}
+	remove := func(b *trace.TraceBundle) {
+		inc.Remove(keys[b])
+		corpus = slices.DeleteFunc(corpus, func(c *trace.TraceBundle) bool { return c == b })
+	}
+	digests := make(map[[32]byte]bool)
+	check := func(what string) {
+		t.Helper()
+		_, body, err := inc.ReportJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want, err := batch.Analyze(corpus)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", what, err)
+		}
+		if !bytes.Equal(bodyBytes(t, body), reportJSON(t, want)) {
+			t.Fatalf("%s: served bytes differ from json.Marshal of the batch report", what)
+		}
+		if body.Digest != encodeReport(t, want).Digest {
+			t.Fatalf("%s: incremental digest differs from EncodeReport's of the batch report", what)
+		}
+		digests[body.Digest] = true
+	}
+
+	for _, b := range pool[:8] {
+		add(b)
+	}
+	check("cold")
+	steps := 0
+	for r := 0; r < 4; r++ {
+		out := pool[r]
+		remove(out)
+		check(fmt.Sprintf("round %d: remove %d", r, r))
+		add(pool[8+r])
+		check(fmt.Sprintf("round %d: add %d", r, 8+r))
+		add(out)
+		check(fmt.Sprintf("round %d: re-add %d", r, r))
+		remove(pool[8+r])
+		check(fmt.Sprintf("round %d: remove %d", r, 8+r))
+		steps += 4
+	}
+	if len(digests) < steps/2 {
+		t.Fatalf("%d churn steps produced only %d distinct digests; the corpus no longer changes the report", steps, len(digests))
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -49,6 +52,110 @@ func TestReportJSONFieldList(t *testing.T) {
 		}
 		if !slices.Equal(omit, tc.omitempty) {
 			t.Errorf("%s omitempty fields %q, fragment writer omits %q", tc.typ.Name(), omit, tc.omitempty)
+		}
+	}
+}
+
+// writeCounter records what WriteTo hands it and how many calls it
+// took; with fail set it accepts only the first limit bytes and then
+// fails.
+type writeCounter struct {
+	buf   bytes.Buffer
+	calls int
+	fail  bool
+	limit int
+}
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.fail && w.buf.Len()+len(p) > w.limit {
+		n := w.limit - w.buf.Len()
+		w.buf.Write(p[:n])
+		return n, errWriteFailed
+	}
+	return w.buf.Write(p)
+}
+
+// TestReportBodyWriteTo pins ReportBody's writer contract on a body of
+// several chunks that also holds one fragment larger than a chunk: it
+// writes exactly Len() bytes, json.Marshal's, in at most
+// Len()/reportChunk + 2 calls; a writer failing mid-body stops it with
+// that writer's error and the count of bytes it accepted.
+func TestReportBodyWriteTo(t *testing.T) {
+	a, err := NewAnalyzer(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := a.Analyze(multiDeviceCorpus(t, 71).Bundles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Repeat the traces into a multi-chunk report, with one trace whose
+	// events alone outgrow a chunk.
+	report := *small
+	report.Traces = nil
+	for i := 0; i < 20; i++ {
+		report.Traces = append(report.Traces, small.Traces...)
+	}
+	big := *small.Traces[0]
+	for len(big.Events) < 4*reportChunk/100 {
+		big.Events = append(big.Events, small.Traces[0].Events...)
+	}
+	report.Traces = append(report.Traces, &big)
+	want, err := json.Marshal(&report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := EncodeReport(&report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body.Len() != len(want) || len(want) < 4*reportChunk {
+		t.Fatalf("Len() = %d for a %d-byte report, want equal and several %d-byte chunks", body.Len(), len(want), reportChunk)
+	}
+
+	var w writeCounter
+	n, err := body.WriteTo(&w)
+	if err != nil || n != int64(body.Len()) {
+		t.Fatalf("WriteTo = (%d, %v), want (%d, nil)", n, err, body.Len())
+	}
+	if !bytes.Equal(w.buf.Bytes(), want) {
+		t.Fatal("WriteTo bytes differ from json.Marshal of the report")
+	}
+	if limit := body.Len()/reportChunk + 2; w.calls > limit {
+		t.Fatalf("WriteTo made %d writes for %d bytes, want at most %d", w.calls, body.Len(), limit)
+	}
+
+	for _, limit := range []int{0, 1000, reportChunk + 7, body.Len() - 1} {
+		fw := writeCounter{fail: true, limit: limit}
+		n, err := body.WriteTo(&fw)
+		if !errors.Is(err, errWriteFailed) || n != int64(limit) {
+			t.Fatalf("writer failing after %d bytes: WriteTo = (%d, %v), want (%d, %v)", limit, n, err, limit, errWriteFailed)
+		}
+		if !bytes.Equal(fw.buf.Bytes(), want[:limit]) {
+			t.Fatalf("writer failing after %d bytes got bytes that are not the body's prefix", limit)
+		}
+	}
+
+	// The envelope's edge cases encode as json.Marshal does too.
+	for _, r := range []*Report{
+		{AppID: "nil-traces"},
+		{AppID: "no-traces", Traces: []*AnalyzedTrace{}},
+		{AppID: "skipped", Traces: small.Traces[:1], Skipped: []SkippedTrace{{Index: 1, TraceID: "t", Reason: "bad <input>"}}},
+	} {
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := EncodeReport(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if _, err := body.WriteTo(&got); err != nil || !bytes.Equal(got.Bytes(), want) || body.Len() != len(want) {
+			t.Fatalf("%s: EncodeReport wrote %s (Len %d, err %v), json.Marshal %s", r.AppID, got.Bytes(), body.Len(), err, want)
 		}
 	}
 }

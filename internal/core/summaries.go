@@ -79,14 +79,14 @@ type traceEntry struct {
 	// taints the corpus onto the full-finish fallback path.
 	nonFinite bool
 
-	// head, rank and tail are the cached JSON fragments of at that
-	// ReportJSON concatenates (reportjson.go); nil means not encoded
-	// since the columns behind it last changed. head covers the Step-1
-	// identity and events, which never change for an applied entry;
-	// refreshRanks drops rank; refreshDetect drops tail. A fragment is
-	// replaced, never mutated, so a report body assembled from one
-	// outlives later refreshes.
-	head, rank, tail []byte
+	// head, rank and tail are the cached JSON fragments of at, each with
+	// its SHA-256, that ReportJSON builds report bodies from
+	// (reportjson.go); nil means not encoded since the columns behind it
+	// last changed. head covers the Step-1 identity and events, which
+	// never change for an applied entry; refreshRanks drops rank;
+	// refreshDetect drops tail. A fragment is replaced, never mutated, so
+	// a report body that shares one outlives later refreshes.
+	head, rank, tail *fragment
 }
 
 // corpusState is the applied incremental corpus: per-key summaries and

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,12 +258,12 @@ func TestServedReportsMatchBatchAtAnyWorkerCount(t *testing.T) {
 				if err != nil || resp.StatusCode != 200 {
 					t.Fatalf("workers=%d %s %s: status %d err %v", workers, what, app, resp.StatusCode, err)
 				}
-				wantJSON := batchJSON(t, want[app])
+				wantJSON, wantETag := batchJSON(t, want[app])
 				if !bytes.Equal(body, wantJSON) {
 					t.Fatalf("workers=%d %s %s: served report diverged from batch analysis", workers, what, app)
 				}
-				if got := resp.Header.Get("ETag"); got != etagFor(wantJSON) {
-					t.Fatalf("workers=%d %s %s: ETag %s is not the batch report's %s", workers, what, app, got, etagFor(wantJSON))
+				if got := resp.Header.Get("ETag"); got != wantETag {
+					t.Fatalf("workers=%d %s %s: ETag %s is not the batch report's %s", workers, what, app, got, wantETag)
 				}
 			}
 		}
@@ -305,8 +306,8 @@ func TestServedReportsMatchBatchAtAnyWorkerCount(t *testing.T) {
 }
 
 // batchJSON is the batch pipeline's report for bundles under the
-// service's effective config.
-func batchJSON(t *testing.T, bundles []*trace.TraceBundle) []byte {
+// service's effective config, and the ETag of its cold encoding.
+func batchJSON(t *testing.T, bundles []*trace.TraceBundle) (data []byte, etag string) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.SkipInvalidTraces = true
@@ -318,11 +319,21 @@ func batchJSON(t *testing.T, bundles []*trace.TraceBundle) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(report)
+	data, err = json.Marshal(report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return data, bodyETag(encodeReport(t, report))
+}
+
+// encodeReport is core.EncodeReport that fails the test on error.
+func encodeReport(t *testing.T, r *core.Report) *core.ReportBody {
+	t.Helper()
+	body, err := core.EncodeReport(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestReportContentLength: a 200 report carries its body length, so the
@@ -369,5 +380,174 @@ func TestReportContentLength(t *testing.T) {
 	}
 	if got := resp.Header.Get("Content-Length"); got != "" {
 		t.Fatalf("304 carries Content-Length %q", got)
+	}
+}
+
+// gatedAnalyzer wraps an app's analyzer so a test can stop a flush
+// inside ReportJSON until it closes release. With locked set, the gated
+// call holds a mutex that Add, Len and SummaryStats also take, as the
+// real analyzer's lock is held through refresh and fragment encode;
+// each of those calls signals waiting before it takes the mutex.
+type gatedAnalyzer struct {
+	*core.IncrementalAnalyzer
+	locked  bool
+	mu      sync.Mutex
+	once    sync.Once
+	entered chan struct{} // closed when the first ReportJSON reaches the gate
+	release chan struct{} // the gated ReportJSON proceeds once closed
+	waiting chan struct{}
+}
+
+func (g *gatedAnalyzer) ReportJSON() (*core.Report, *core.ReportBody, error) {
+	if g.locked {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+	}
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.IncrementalAnalyzer.ReportJSON()
+}
+
+func (g *gatedAnalyzer) lock() {
+	g.waiting <- struct{}{}
+	g.mu.Lock()
+}
+
+func (g *gatedAnalyzer) Add(b *trace.TraceBundle) (string, bool) {
+	g.lock()
+	defer g.mu.Unlock()
+	return g.IncrementalAnalyzer.Add(b)
+}
+
+func (g *gatedAnalyzer) Len() int {
+	g.lock()
+	defer g.mu.Unlock()
+	return g.IncrementalAnalyzer.Len()
+}
+
+func (g *gatedAnalyzer) SummaryStats() core.SummaryStats {
+	g.lock()
+	defer g.mu.Unlock()
+	return g.IncrementalAnalyzer.SummaryStats()
+}
+
+// await fails the test unless ch delivers within a generous timeout.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatal(what)
+	}
+}
+
+// TestNotifyOffServiceLock: while one app's flush is inside ReportJSON,
+// an arrival for that app, a status read and a metrics snapshot wait
+// for that app's analyzer without holding the service lock, so another
+// app's Notify completes. The arrival that landed between the flush
+// taking its app and the flush's ReportJSON — before or after the
+// analyzer's snapshot — still reaches a served version, byte-identical
+// to batch Analyze, with the batch report's ETag.
+func TestNotifyOffServiceLock(t *testing.T) {
+	k9 := testCorpus(t, 5, 109)
+	gps := appCorpus(t, "opengps", 2, 113)
+	for _, tc := range []struct {
+		name   string
+		locked bool // the arrival waits for the flush's analyzer lock
+	}{
+		{"arrival after the flush's snapshot", true},
+		{"arrival before the flush's snapshot", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			inc, err := core.NewIncrementalAnalyzer(svc.cfg.Analysis, svc.cfg.CacheCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// waiting is buffered past every gated call the test does not
+			// receive from, so no call blocks on the signal itself.
+			g := &gatedAnalyzer{IncrementalAnalyzer: inc, locked: tc.locked,
+				entered: make(chan struct{}), release: make(chan struct{}), waiting: make(chan struct{}, 16)}
+			var releaseOnce sync.Once
+			release := func() { releaseOnce.Do(func() { close(g.release) }) }
+			defer release() // before Close, so a failed run does not hang
+			svc.mu.Lock()
+			svc.apps["k9mail"] = &appState{inc: g}
+			svc.mu.Unlock()
+			for _, b := range k9[:4] {
+				svc.Notify(b)
+				<-g.waiting
+			}
+
+			flushed := make(chan struct{})
+			go func() {
+				defer close(flushed)
+				svc.Flush()
+			}()
+			<-g.entered
+			k9Done := make(chan struct{})
+			go func() {
+				defer close(k9Done)
+				svc.Notify(k9[4])
+			}()
+			await(t, g.waiting, "k9mail's Notify never reached its analyzer")
+			if !tc.locked {
+				await(t, k9Done, "k9mail's Notify did not finish mid-flush") // schedule included
+			}
+			statusDone, snapDone := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(statusDone)
+				svc.Statuses()
+			}()
+			await(t, g.waiting, "Statuses never reached k9mail's analyzer")
+			go func() {
+				defer close(snapDone)
+				svc.metricsSnap()
+			}()
+			await(t, g.waiting, "the metrics snapshot never reached k9mail's analyzer")
+			gpsDone := make(chan struct{})
+			go func() {
+				defer close(gpsDone)
+				svc.Notify(gps[0])
+			}()
+			await(t, gpsDone, "Notify for opengps waited for k9mail's flush")
+			select {
+			case <-flushed:
+				t.Fatal("k9mail's flush finished while gated")
+			default:
+			}
+			release()
+			for _, done := range []chan struct{}{flushed, k9Done, statusDone, snapDone} {
+				<-done
+			}
+
+			// The arrival re-scheduled k9mail; whichever flush covers it,
+			// the next one serves the whole corpus.
+			if row := appStatus(t, svc, "k9mail"); !row.Dirty {
+				t.Fatal("k9mail is not dirty after an arrival during its flush")
+			}
+			svc.Flush()
+			h := svc.Handler()
+			for app, corpus := range map[string][]*trace.TraceBundle{"k9mail": k9, "opengps": gps[:1]} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/analysis/report?app="+app, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s: report status %d", app, rec.Code)
+				}
+				wantJSON, wantETag := batchJSON(t, corpus)
+				if !bytes.Equal(rec.Body.Bytes(), wantJSON) {
+					t.Fatalf("%s: served report diverged from batch analysis of its %d bundles", app, len(corpus))
+				}
+				if got := rec.Header().Get("ETag"); got != wantETag {
+					t.Fatalf("%s: ETag %s is not the batch report's %s", app, got, wantETag)
+				}
+			}
+		})
 	}
 }

@@ -14,11 +14,12 @@
 // deadline, and a flush of cost C is followed by at least C of quiet.
 //
 // Every installed report is a versioned snapshot: a per-app
-// monotonically increasing version plus a strong ETag (content hash of
-// the served JSON). Clients cache-validate with If-None-Match (304),
-// long-poll for the next snapshot with ?wait=, resume missed updates
-// over the /analysis/events SSE stream with Last-Event-ID, and read
-// the drift of recent snapshots from /analysis/report/history.
+// monotonically increasing version plus a strong ETag (cut from the
+// served body's digest, core.ReportBody.Digest). Clients cache-validate
+// with If-None-Match (304), long-poll for the next snapshot with
+// ?wait=, resume missed updates over the /analysis/events SSE stream
+// with Last-Event-ID, and read the drift of recent snapshots from
+// /analysis/report/history.
 //
 // Endpoints (all GET unless noted):
 //
@@ -48,16 +49,16 @@
 //	                          version-diff workloads) and schedule
 //	                          re-analysis — sublinear, no corpus rebuild
 //
-// The served report bytes are a snapshot, and so is every report
-// object the service keeps: the incremental engine never writes a trace
-// after a report holds it, so a long-lived client never observes a
-// later analysis. Report versions share every trace that did not
-// change between them, which makes the history ring cost the change
-// per version, not the corpus. Reports are read-only for that reason.
+// The served report body is a snapshot, and so is every report object
+// the service keeps: the incremental engine never writes a trace or a
+// body fragment after a report holds it, so a long-lived client never
+// observes a later analysis. Report versions share every trace that
+// did not change between them, which makes the history ring cost the
+// change per version, not the corpus. Reports are read-only for that
+// reason.
 package serve
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -162,18 +163,32 @@ type Snapshot struct {
 	Summary    core.ReportSummary `json:"summary"`
 }
 
+// analyzer is the per-app incremental engine the service drives: a
+// *core.IncrementalAnalyzer, whose methods take its own locks, never
+// the service's. Tests substitute a wrapper that holds a flush.
+type analyzer interface {
+	Add(b *trace.TraceBundle) (key string, added bool)
+	Remove(key string) bool
+	Keys() []string
+	Len() int
+	Bundles() []*trace.TraceBundle
+	ReportJSON() (*core.Report, *core.ReportBody, error)
+	CacheStats() core.CacheStats
+	SummaryStats() core.SummaryStats
+}
+
 // appState is the serving state of one app.
 type appState struct {
-	inc *core.IncrementalAnalyzer
+	inc analyzer
 
-	dirtySince  time.Time     // first un-analyzed arrival: staleness, max-delay cap
-	lastArrival time.Time     // latest un-analyzed arrival: quiet-period deadline
-	cost        time.Duration // last flush, ReportJSON through install (0: none yet)
-	flushedAt   time.Time     // when the last flush finished
-	report      *core.Report  // latest successful analysis (read-only, shared)
-	reportJSON  []byte        // its serialized form, served verbatim
-	version     int64         // bumps on every successful install
-	etag        string        // strong ETag: content hash of reportJSON
+	dirtySince  time.Time        // first un-analyzed arrival: staleness, max-delay cap
+	lastArrival time.Time        // latest un-analyzed arrival: quiet-period deadline
+	cost        time.Duration    // last flush, ReportJSON through install (0: none yet)
+	flushedAt   time.Time        // when the last flush finished
+	report      *core.Report     // latest successful analysis (read-only, shared)
+	body        *core.ReportBody // its encoded form, served verbatim (shared)
+	version     int64            // bumps on every successful install
+	etag        string           // strong ETag: cut from body.Digest
 	summary     core.ReportSummary
 	analyzedAt  time.Time
 	lastWall    time.Duration
@@ -305,13 +320,19 @@ func (s *Service) metricsSnap() fleetSnap {
 			fs.staleness = age
 		}
 	}
+	incs := make([]analyzer, 0, len(s.apps))
 	for _, st := range s.apps {
-		ss := st.inc.SummaryStats()
+		incs = append(incs, st.inc)
+	}
+	s.mu.Unlock()
+	// Off the service lock: each analyzer's stats wait for its own lock,
+	// which the app's flush holds through refresh and fragment encode.
+	for _, inc := range incs {
+		ss := inc.SummaryStats()
 		fs.summaryKeys += float64(ss.Keys)
 		fs.summaryBytes += float64(ss.Bytes)
 		fs.dirtyTraces += float64(ss.RankDirtyTraces)
 	}
-	s.mu.Unlock()
 	s.snap, s.snapAt = fs, now
 	return fs
 }
@@ -327,21 +348,29 @@ func (s *Service) invalidateMetricsSnap() {
 // app's incremental corpus (content-key deduplicated) and schedules a
 // debounced re-analysis. Safe for concurrent use; cheap enough for the
 // ingest hot path (no analysis runs here).
+//
+// The add runs without the service lock: it waits for the analyzer's
+// own lock, which the app's flush holds through refresh and fragment
+// encode, and other apps' arrivals, the scheduler and report reads must
+// not wait with it. Scheduling after the add keeps every bundle
+// covered: a flush that took the app before the add either sees the
+// bundle or is followed by the one this schedules.
 func (s *Service) Notify(b *trace.TraceBundle) {
 	if b == nil || b.Event.AppID == "" {
 		return
 	}
 	mNotifies.Inc()
+	app := b.Event.AppID
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.appLocked(b.Event.AppID)
+	st := s.appLocked(app)
+	s.mu.Unlock()
 	if st == nil {
 		return
 	}
 	if _, added := st.inc.Add(b); !added {
 		return // duplicate content: nothing changed, no re-analysis
 	}
-	s.scheduleLocked(b.Event.AppID, st)
+	s.schedule(app, st)
 }
 
 // SyncCorpus makes bundles, in order, the app's whole corpus in one
@@ -397,6 +426,16 @@ func (s *Service) appLocked(app string) *appState {
 		s.apps[app] = st
 	}
 	return st
+}
+
+// schedule takes the service lock and schedules the app, unless the
+// service closed meanwhile.
+func (s *Service) schedule(app string, st *appState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.scheduleLocked(app, st)
+	}
 }
 
 // scheduleLocked marks the app dirty and records the arrival its
@@ -487,31 +526,27 @@ func (s *Service) run() {
 // corpus and schedules a debounced re-analysis, reporting whether the
 // bundle was present. The retraction itself is queued O(1); the next
 // re-analysis pays only the touched keys' summary updates (sublinear in
-// corpus size), never a full rebuild.
+// corpus size), never a full rebuild. Like Notify, it waits for the
+// analyzer without holding the service lock.
 func (s *Service) Remove(app, key string) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
 	st, ok := s.apps[app]
-	if !ok {
-		return false
-	}
-	if !st.inc.Remove(key) {
+	closed := s.closed
+	s.mu.Unlock()
+	if closed || !ok || !st.inc.Remove(key) {
 		return false
 	}
 	mRemoves.Inc()
-	s.scheduleLocked(app, st)
+	s.schedule(app, st)
 	return true
 }
 
-// etagFor derives the strong ETag of a serialized report snapshot: a
-// content hash, so byte-identical reports (across processes, restarts,
-// or the batch pipeline) validate against the same tag.
-func etagFor(data []byte) string {
-	sum := sha256.Sum256(data)
-	return `"` + hex.EncodeToString(sum[:16]) + `"`
+// bodyETag derives the strong ETag of an encoded report from its
+// digest, so identical reports (across processes, restarts, or the
+// batch pipeline through core.EncodeReport) validate against the same
+// tag.
+func bodyETag(body *core.ReportBody) string {
+	return `"` + hex.EncodeToString(body.Digest[:16]) + `"`
 }
 
 // Flush synchronously re-analyzes every dirty app and installs the new
@@ -566,10 +601,10 @@ func (s *Service) flush(dueBy time.Time) {
 // install — becomes the app's next quiet period.
 func (s *Service) flushApp(app string, st *appState) {
 	start := time.Now()
-	// Analyzer-internal locking; s.mu not held. The body, its hash and
+	// Analyzer-internal locking; s.mu not held. The body, its digest and
 	// the summary are computed before taking s.mu, so Notify on the ack
 	// path never waits behind them.
-	report, data, err := st.inc.ReportJSON()
+	report, body, err := st.inc.ReportJSON()
 	analyzedAt := time.Now()
 	wall := analyzedAt.Sub(start)
 	mAnalyses.Inc()
@@ -578,7 +613,7 @@ func (s *Service) flushApp(app string, st *appState) {
 	var snap Snapshot
 	if err == nil {
 		snap = Snapshot{
-			ETag:       etagFor(data),
+			ETag:       bodyETag(body),
 			AnalyzedAt: analyzedAt.UTC().Format(time.RFC3339Nano),
 			WallMillis: float64(wall) / float64(time.Millisecond),
 			Summary:    report.Summarize(topKeys),
@@ -592,7 +627,7 @@ func (s *Service) flushApp(app string, st *appState) {
 		st.lastErr = err.Error()
 	} else {
 		st.lastErr = ""
-		snap = s.installLocked(st, report, data, snap)
+		snap = s.installLocked(st, report, body, snap)
 	}
 	st.flushedAt = time.Now()
 	st.cost = st.flushedAt.Sub(start)
@@ -617,11 +652,11 @@ func (s *Service) flushApp(app string, st *appState) {
 // installLocked only swaps pointers, bumps the version, appends to the
 // history ring and wakes long-polls, and returns the completed
 // snapshot. Callers hold s.mu; flushMu orders each app's installs.
-func (s *Service) installLocked(st *appState, report *core.Report, data []byte, snap Snapshot) Snapshot {
+func (s *Service) installLocked(st *appState, report *core.Report, body *core.ReportBody, snap Snapshot) Snapshot {
 	st.version++
 	snap.Version = st.version
 	st.report = report
-	st.reportJSON = data
+	st.body = body
 	st.etag = snap.ETag
 	st.summary = snap.Summary
 	entry := historyEntry{snap: snap, report: report}
@@ -685,13 +720,14 @@ type AppStatus struct {
 	Summaries core.SummaryStats `json:"summaries"`
 }
 
-// statusLocked builds one app's status row. Callers hold s.mu.
+// statusLocked builds one app's status row from the serving state,
+// leaving the analyzer's own stats (Traces, Cache, Summaries) to the
+// caller. Callers hold s.mu.
 func (s *Service) statusLocked(app string, st *appState) AppStatus {
 	row := AppStatus{
 		App:            app,
 		Version:        st.version,
 		ETag:           st.etag,
-		Traces:         st.inc.Len(),
 		Dirty:          s.dirty[app] != nil,
 		Analyses:       st.analyses,
 		LastAnalysisMS: float64(st.lastWall) / float64(time.Millisecond),
@@ -699,8 +735,6 @@ func (s *Service) statusLocked(app string, st *appState) AppStatus {
 		QuietPeriodMS:  float64(s.quiet(st)) / float64(time.Millisecond),
 		LastError:      st.lastErr,
 		Summary:        st.summary,
-		Cache:          st.inc.CacheStats(),
-		Summaries:      st.inc.SummaryStats(),
 	}
 	if !st.analyzedAt.IsZero() {
 		row.AnalyzedAt = st.analyzedAt.UTC().Format(time.RFC3339Nano)
@@ -712,10 +746,18 @@ func (s *Service) statusLocked(app string, st *appState) AppStatus {
 func (s *Service) Statuses() []AppStatus {
 	s.mu.Lock()
 	out := make([]AppStatus, 0, len(s.apps))
+	incs := make([]analyzer, 0, len(s.apps))
 	for app, st := range s.apps {
 		out = append(out, s.statusLocked(app, st))
+		incs = append(incs, st.inc)
 	}
 	s.mu.Unlock()
+	// Off the service lock, as in metricsSnap.
+	for i, inc := range incs {
+		out[i].Traces = inc.Len()
+		out[i].Cache = inc.CacheStats()
+		out[i].Summaries = inc.SummaryStats()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
 	return out
 }
@@ -732,7 +774,7 @@ func (s *Service) AppReport(app string) (report *core.Report, snap Snapshot, ok 
 	if !ok {
 		return nil, Snapshot{}, false
 	}
-	if st.reportJSON == nil {
+	if st.body == nil {
 		return nil, Snapshot{}, true
 	}
 	snap = Snapshot{
@@ -877,9 +919,9 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 	// Fresh means the client already holds the current snapshot: its
 	// ETag validates or its reported version is current. A stale client
 	// is answered immediately; a fresh one parks when it asked to wait.
-	fresh := st.reportJSON != nil &&
+	fresh := st.body != nil &&
 		(etagMatches(req, st.etag) || (clientVer > 0 && clientVer >= st.version))
-	needsWait := wait > 0 && (st.reportJSON == nil || fresh)
+	needsWait := wait > 0 && (st.body == nil || fresh)
 	if needsWait {
 		if st.waitCh == nil {
 			st.waitCh = make(chan struct{})
@@ -897,15 +939,15 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 		}
 		s.mu.Lock()
 		// Re-evaluate against whatever is installed now.
-		fresh = st.reportJSON != nil &&
+		fresh = st.body != nil &&
 			(etagMatches(req, st.etag) || (clientVer > 0 && clientVer >= st.version))
 	}
 
-	data, report := st.reportJSON, st.report
+	body, report := st.body, st.report
 	etag, version := st.etag, st.version
 	s.mu.Unlock()
 
-	if data == nil {
+	if body == nil {
 		// Tracked but not yet analyzed (inside the debounce window).
 		http.Error(w, "no analysis yet for "+app+"; retry shortly or POST /analysis/flush", http.StatusServiceUnavailable)
 		return
@@ -923,8 +965,8 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	_, _ = body.WriteTo(w)
 }
 
 func (s *Service) serveHistory(w http.ResponseWriter, req *http.Request) {

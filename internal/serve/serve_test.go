@@ -98,7 +98,7 @@ func TestDebounceCoalescesBursts(t *testing.T) {
 		ready := false
 		if st != nil {
 			analyses = st.analyses
-			ready = st.reportJSON != nil
+			ready = st.body != nil
 		}
 		svc.mu.Unlock()
 		if ready {

@@ -379,7 +379,7 @@ func TestIngestToEventToReport(t *testing.T) {
 	if string(body) != string(wantJSON) {
 		t.Fatal("served report bytes diverged from batch analysis")
 	}
-	if etagFor(wantJSON) != ev.Event.ETag {
+	if bodyETag(encodeReport(t, want)) != ev.Event.ETag {
 		t.Fatal("event ETag is not the content hash of the batch-identical report")
 	}
 }
@@ -474,12 +474,12 @@ func TestHistoryVersionsRace(t *testing.T) {
 				history := append([]historyEntry(nil), svc.apps["k9mail"].history...)
 				svc.mu.Unlock()
 				for i, e := range history {
-					data, err := json.Marshal(e.report)
+					body, err := core.EncodeReport(e.report)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if etagFor(data) != e.snap.ETag {
+					if bodyETag(body) != e.snap.ETag {
 						t.Errorf("retained version %d no longer marshals to the bytes behind its ETag", e.snap.Version)
 						return
 					}
