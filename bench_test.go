@@ -384,3 +384,33 @@ func BenchmarkTraceTextCodec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReportJSONAfterAdd times the analyzer's share of serving one
+// upload to a hot app: over a warm 5,000-session K9Mail corpus, each op
+// is Add + ReportJSON + Remove + Refresh, so every op re-ranks the
+// corpus and re-encodes its rank columns. Parallelism is 0 (GOMAXPROCS),
+// so `-cpu 1,2` compares the serial refresh with the fan-out.
+func BenchmarkReportJSONAfterAdd(b *testing.B) {
+	app, err := apps.K9Mail()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := workload.DefaultConfig(app, benchSeed)
+	cfg.Users = 5001
+	corpus, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inc := warmChurnAnalyzer(b, corpus.Bundles)
+	extra := corpus.Bundles[len(corpus.Bundles)-1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key, _ := inc.Add(extra)
+		if _, _, err := inc.ReportJSON(); err != nil {
+			b.Fatal(err)
+		}
+		inc.Remove(key)
+		inc.Refresh()
+	}
+}

@@ -75,6 +75,8 @@ type Config struct {
 
 	// Parallelism is the worker count for the analysis fan-outs: Step 1
 	// per trace, Step 2 per event-key shard, and Steps 3-4 per trace.
+	// IncrementalAnalyzer's reports fan Steps 2-4 and the fragment
+	// encode out over it too, in chunks of at least 64 traces.
 	// 0 means one worker per available CPU (GOMAXPROCS), 1 forces a
 	// serial run, and values above the item count are clamped. The
 	// report is byte-identical at any worker count: results land in

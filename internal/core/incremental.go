@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -42,9 +43,11 @@ func (at *AnalyzedTrace) cloneStepOne() *AnalyzedTrace {
 	}
 }
 
-// pendingOp is one queued corpus mutation awaiting application.
+// pendingOp is one queued corpus mutation awaiting application. An add
+// carries its bundle, so applying it needs nothing from the intake.
 type pendingOp struct {
 	key string // "" marks a canceled (tombstoned) op
+	b   *trace.TraceBundle
 	add bool
 }
 
@@ -63,12 +66,17 @@ type pendingOp struct {
 //
 // Add and Remove only queue the mutation (O(1) on the ingest path);
 // Refresh or Report applies the queue. All methods are safe for
-// concurrent use. Report serializes against mutations: the report
-// reflects exactly the corpus at its start.
+// concurrent use. The corpus and its queue sit behind their own intake
+// lock, which a report holds only while it takes the queue and a copy
+// of the corpus order, so Add, Remove, Contains and Len never wait for
+// a report's analysis or encoding. A report reflects exactly the corpus
+// at its start; a mutation landing while it runs shows in the next one.
 type IncrementalAnalyzer struct {
 	a *Analyzer
 
-	mu sync.Mutex
+	// intake guards the corpus as submitted: order, orderIdx,
+	// tombstones, bundles and the pending queue.
+	intake sync.Mutex
 	// order holds content keys in corpus (insertion) order. Removal
 	// tombstones the slot ("") instead of splicing, so Remove stays O(1)
 	// on a 10k-bundle corpus; compactOrder rewrites the slice once
@@ -77,11 +85,20 @@ type IncrementalAnalyzer struct {
 	orderIdx   map[string]int // live key -> index in order
 	tombstones int
 	bundles    map[string]*trace.TraceBundle
-	cache      *stepCache
-
-	cs         *corpusState
 	pending    []pendingOp
 	pendingIdx map[string]int // key -> outstanding index in pending
+
+	// mu serializes analysis: it guards everything below, and a report
+	// or refresh holds it throughout. It is taken before intake, never
+	// after.
+	mu    sync.Mutex
+	cache *stepCache
+	cs    *corpusState
+	// drained is the spare pending queue takeIntake swaps in, so
+	// draining the queue allocates nothing; live is the reused buffer a
+	// report copies the live corpus order into.
+	drained []pendingOp
+	live    []string
 
 	// Step-1 cache activity since the last Report, feeding the gauges.
 	lookups, hits int64
@@ -124,40 +141,65 @@ func bundleKey(b *trace.TraceBundle) string {
 // remove-then-re-add restores the exact prior state and both ops can be
 // dropped. The invariant this preserves — at most one outstanding op
 // per key, and its direction always flips the key's applied state —
-// is what lets applyAdd/applyRemove skip existence re-checks.
-func (ia *IncrementalAnalyzer) queue(key string, add bool) {
+// is what lets applyAdd/applyRemove skip existence re-checks. Callers
+// hold ia.intake.
+func (ia *IncrementalAnalyzer) queue(key string, b *trace.TraceBundle, add bool) {
 	if i, ok := ia.pendingIdx[key]; ok {
-		ia.pending[i].key = ""
+		ia.pending[i] = pendingOp{}
 		delete(ia.pendingIdx, key)
 		return
 	}
 	ia.pendingIdx[key] = len(ia.pending)
-	ia.pending = append(ia.pending, pendingOp{key: key, add: add})
+	ia.pending = append(ia.pending, pendingOp{key: key, b: b, add: add})
 }
 
-// applyLocked drains the pending mutation queue into the applied corpus
-// state. Callers hold ia.mu.
-func (ia *IncrementalAnalyzer) applyLocked() {
-	if len(ia.pending) == 0 {
-		return
-	}
-	for _, op := range ia.pending {
-		if op.key == "" {
-			continue
+// takeIntake takes the pending mutation queue and, with snapshot set,
+// a copy of the live keys in corpus order. Both come from one intake
+// critical section, so the keys are exactly the corpus that applying
+// the ops makes. The returned slices are reused: ops by the next
+// takeIntake after applyOps has returned it, live by the next
+// snapshot. Callers hold ia.mu.
+func (ia *IncrementalAnalyzer) takeIntake(snapshot bool) (ops []pendingOp, live []string) {
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
+	ops = ia.pending
+	ia.pending = ia.drained[:0]
+	ia.drained = nil
+	for _, op := range ops {
+		// Delete per key rather than clear()ing: a map clear zeroes the
+		// whole table, whose capacity is the historical high-water mark
+		// (the initial bulk load), turning every later one-bundle Refresh
+		// into an O(N) sweep.
+		if op.key != "" {
+			delete(ia.pendingIdx, op.key)
 		}
-		// Delete per key rather than clear()ing after the loop: a map
-		// clear zeroes the whole table, whose capacity is the historical
-		// high-water mark (the initial bulk load), turning every later
-		// one-bundle Refresh into an O(N) sweep.
-		delete(ia.pendingIdx, op.key)
-		if op.add {
-			ia.applyAdd(op.key)
-		} else {
+	}
+	if snapshot {
+		live = ia.live[:0]
+		for _, k := range ia.order {
+			if k != "" {
+				live = append(live, k)
+			}
+		}
+		ia.live = live
+	}
+	return ops, live
+}
+
+// applyOps applies mutations taken by takeIntake to the corpus state
+// and keeps the slice as the next spare queue. Callers hold ia.mu.
+func (ia *IncrementalAnalyzer) applyOps(ops []pendingOp) {
+	for _, op := range ops {
+		switch {
+		case op.key == "":
+		case op.add:
+			ia.applyAdd(op.key, op.b)
+		default:
 			ia.applyRemove(op.key)
 		}
 	}
-	clear(ia.pending) // release key refs; O(ops drained), not O(cap)
-	ia.pending = ia.pending[:0]
+	clear(ops) // release key and bundle refs; O(ops drained), not O(cap)
+	ia.drained = ops[:0]
 }
 
 // Refresh applies all pending corpus mutations to the per-key summaries
@@ -167,7 +209,8 @@ func (ia *IncrementalAnalyzer) applyLocked() {
 func (ia *IncrementalAnalyzer) Refresh() {
 	ia.mu.Lock()
 	defer ia.mu.Unlock()
-	ia.applyLocked()
+	ops, _ := ia.takeIntake(false)
+	ia.applyOps(ops)
 }
 
 // Add appends the bundle to the corpus and returns its content key.
@@ -177,15 +220,15 @@ func (ia *IncrementalAnalyzer) Refresh() {
 // the next Refresh or Report.
 func (ia *IncrementalAnalyzer) Add(b *trace.TraceBundle) (key string, added bool) {
 	key = bundleKey(b)
-	ia.mu.Lock()
-	defer ia.mu.Unlock()
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
 	if _, ok := ia.bundles[key]; ok {
 		return key, false
 	}
 	ia.bundles[key] = b
 	ia.orderIdx[key] = len(ia.order)
 	ia.order = append(ia.order, key)
-	ia.queue(key, true)
+	ia.queue(key, b, true)
 	return key, true
 }
 
@@ -195,8 +238,8 @@ func (ia *IncrementalAnalyzer) Add(b *trace.TraceBundle) (key string, added bool
 // LRU retires it if it stays cold. The summary retraction is deferred
 // to the next Refresh or Report.
 func (ia *IncrementalAnalyzer) Remove(key string) bool {
-	ia.mu.Lock()
-	defer ia.mu.Unlock()
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
 	if _, ok := ia.bundles[key]; !ok {
 		return false
 	}
@@ -207,13 +250,13 @@ func (ia *IncrementalAnalyzer) Remove(key string) bool {
 	if ia.tombstones > len(ia.bundles) {
 		ia.compactOrder()
 	}
-	ia.queue(key, false)
+	ia.queue(key, nil, false)
 	return true
 }
 
 // compactOrder rewrites ia.order without tombstones and reindexes the
 // surviving keys. Insertion order of live keys is preserved, so the
-// corpus order a Report sees is unchanged.
+// corpus order a Report sees is unchanged. Callers hold ia.intake.
 func (ia *IncrementalAnalyzer) compactOrder() {
 	live := ia.order[:0]
 	for _, k := range ia.order {
@@ -231,16 +274,16 @@ func (ia *IncrementalAnalyzer) compactOrder() {
 // Contains reports whether a bundle with the given content key is in
 // the corpus.
 func (ia *IncrementalAnalyzer) Contains(key string) bool {
-	ia.mu.Lock()
-	defer ia.mu.Unlock()
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
 	_, ok := ia.bundles[key]
 	return ok
 }
 
 // Len returns the number of bundles in the corpus.
 func (ia *IncrementalAnalyzer) Len() int {
-	ia.mu.Lock()
-	defer ia.mu.Unlock()
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
 	return len(ia.bundles)
 }
 
@@ -251,8 +294,8 @@ func (ia *IncrementalAnalyzer) Len() int {
 // exactly the served corpus without touching this analyzer's caches,
 // summaries, or pending mutations.
 func (ia *IncrementalAnalyzer) Bundles() []*trace.TraceBundle {
-	ia.mu.Lock()
-	defer ia.mu.Unlock()
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
 	out := make([]*trace.TraceBundle, 0, len(ia.bundles))
 	for _, k := range ia.order {
 		if k != "" {
@@ -264,8 +307,8 @@ func (ia *IncrementalAnalyzer) Bundles() []*trace.TraceBundle {
 
 // Keys returns the corpus's content keys in insertion order (a copy).
 func (ia *IncrementalAnalyzer) Keys() []string {
-	ia.mu.Lock()
-	defer ia.mu.Unlock()
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
 	keys := make([]string, 0, len(ia.bundles))
 	for _, k := range ia.order {
 		if k != "" {
@@ -305,6 +348,12 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 // full-replay fallback, whose traces have no cached entries. Callers
 // hold ia.mu.
 func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
+	return ia.reportOnLocked(ia.takeIntake(true))
+}
+
+// reportOnLocked is reportLocked after the intake: it applies ops and
+// reports on live, the corpus they make. Callers hold ia.mu.
+func (ia *IncrementalAnalyzer) reportOnLocked(ops []pendingOp, live []string) (*Report, []*traceEntry, error) {
 	start := time.Now()
 	tr := ia.a.cfg.Tracer
 	if tr == nil {
@@ -312,8 +361,8 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	}
 	root := tr.Start("analyze")
 	s1 := root.Child("step1.estimate")
-	ia.applyLocked()
-	if len(ia.bundles) == 0 {
+	ia.applyOps(ops)
+	if len(live) == 0 {
 		s1.End()
 		root.End()
 		return nil, nil, ErrNoTraces
@@ -322,7 +371,7 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 		// Non-finite powers cannot live in the summaries; replay the
 		// full batch finish so degenerate corpora keep the batch
 		// pipeline's exact error behavior.
-		report, err := ia.reportFullLocked(start, root, s1)
+		report, err := ia.reportFullLocked(live, start, root, s1)
 		return report, nil, err
 	}
 	rec1 := s1.End()
@@ -330,37 +379,40 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	// Partition the corpus into analyzable entries and skipped traces,
 	// mirroring stepOneAll's slot scan (including strict-mode errors on
 	// the lowest failing index).
-	entries := make([]*traceEntry, 0, len(ia.bundles))
+	entries := make([]*traceEntry, 0, len(live))
 	var skipped []SkippedTrace
-	idx := 0 // batch position: live keys only, tombstones invisible
-	for _, key := range ia.order {
-		if key == "" {
-			continue
-		}
+	for idx, key := range live {
 		e := ia.cs.entries[key]
 		if e.err != nil {
 			if !ia.a.cfg.SkipInvalidTraces {
 				return nil, nil, fmt.Errorf("trace %d (%s): %w", idx, e.traceID, e.err)
 			}
 			skipped = append(skipped, SkippedTrace{Index: idx, TraceID: e.traceID, Reason: e.err.Error()})
-			idx++
 			continue
 		}
 		entries = append(entries, e)
-		idx++
 	}
 	if len(entries) == 0 {
-		return nil, nil, fmt.Errorf("core: all %d traces invalid (first: %s)", len(ia.bundles), skipped[0].Reason)
+		return nil, nil, fmt.Errorf("core: all %d traces invalid (first: %s)", len(live), skipped[0].Reason)
 	}
+
+	// Steps 2–4 fan out over contiguous chunks of the corpus (Step 2) or
+	// of the detect-stale set (Steps 3–4): each entry is in one chunk and
+	// the shared state — summaries, bases, epochs — is only read.
+	workers := ia.a.cfg.Parallelism
 
 	// Step 2: re-rank only traces whose key multisets changed.
 	s2 := root.Child("step2.rank")
-	rankDirty := 0
-	for _, e := range entries {
-		if e.rankStale(ia.cs) {
-			ia.refreshRanks(e)
-			rankDirty++
-		}
+	var rankDirty int
+	if k := refreshChunks(workers, len(entries)); k == 1 {
+		rankDirty = ia.rerank(entries)
+	} else {
+		var n atomic.Int64
+		_ = forChunks(workers, len(entries), k, func(lo, hi int) error {
+			n.Add(int64(ia.rerank(entries[lo:hi])))
+			return nil
+		})
+		rankDirty = int(n.Load())
 	}
 	rec2 := s2.End()
 
@@ -369,21 +421,48 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	var detectDirty []*traceEntry
 	for _, e := range entries {
 		if e.baseStale(ia.cs) {
-			ia.a.normalize(e.writable(), ia.cs.base)
 			detectDirty = append(detectDirty, e)
 		}
 	}
+	k := refreshChunks(workers, len(detectDirty))
+	if k == 1 {
+		ia.renormalize(detectDirty)
+	} else {
+		_ = forChunks(workers, len(detectDirty), k, func(lo, hi int) error {
+			ia.renormalize(detectDirty[lo:hi])
+			return nil
+		})
+	}
 	rec3 := s3.End()
 
-	// Step 4: re-detect the same traces, in corpus order so a detection
-	// error surfaces for the same trace the batch fan-out would pick
-	// (its lowest-index error; a failing trace is always stale because
-	// errors never stamp).
+	// Step 4: re-detect the same traces. Each chunk stops at its first
+	// failure, and the results fold into the Step-5 aggregates serially,
+	// in corpus order, up to the lowest failing index — the trace whose
+	// error the batch fan-out returns. A failing trace is always stale
+	// (errors never stamp), and so is every unfolded one after it, so
+	// the next report recomputes them all.
 	s4 := root.Child("step4.detect")
-	for _, e := range detectDirty {
-		if err := ia.refreshDetect(e); err != nil {
-			return nil, nil, fmt.Errorf("trace %s: %w", e.at.TraceID, err)
+	var failed int
+	var err error
+	if k == 1 {
+		failed, err = ia.redetect(detectDirty)
+	} else {
+		failed = len(detectDirty)
+		ferr := forChunks(workers, len(detectDirty), k, func(lo, hi int) error {
+			if i, err := ia.redetect(detectDirty[lo:hi]); err != nil {
+				return &detectFailure{index: lo + i, err: err}
+			}
+			return nil
+		})
+		if df, ok := ferr.(*detectFailure); ok {
+			failed, err = df.index, df.err
 		}
+	}
+	for _, e := range detectDirty[:failed] {
+		ia.foldDetect(e)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace %s: %w", detectDirty[failed].at.TraceID, err)
 	}
 	rec4 := s4.End()
 
@@ -392,11 +471,8 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 		ImpactedTraces: ia.cs.impactedTraces,
 		Skipped:        skipped,
 	}
-	for _, key := range ia.order {
-		if key == "" {
-			continue
-		}
-		if b := ia.bundles[key]; b.Event.AppID != "" {
+	for _, key := range live {
+		if b := ia.cs.entries[key].b; b.Event.AppID != "" {
 			report.AppID = b.Event.AppID
 			break
 		}
@@ -416,7 +492,7 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	recTotal := root.End()
 
 	report.Stages = []StageTiming{
-		{Step: 1, Name: "estimate", Wall: rec1.Wall(), CPU: rec1.CPU(), Items: len(ia.bundles)},
+		{Step: 1, Name: "estimate", Wall: rec1.Wall(), CPU: rec1.CPU(), Items: len(live)},
 		{Step: 2, Name: "rank", Wall: rec2.Wall(), CPU: rec2.CPU(), Items: rankDirty},
 		{Step: 3, Name: "normalize", Wall: rec3.Wall(), CPU: rec3.CPU(), Items: len(detectDirty)},
 		{Step: 4, Name: "detect", Wall: rec4.Wall(), CPU: rec4.CPU(), Items: len(detectDirty)},
@@ -429,9 +505,46 @@ func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	mTracesAnalyzed.Add(int64(len(entries)))
 	mTracesSkipped.Add(int64(len(skipped)))
 	gSkippedLast.Set(float64(len(skipped)))
-	ia.finishReportMetrics(start, len(ia.bundles))
+	ia.finishReportMetrics(start, len(live))
 	return report, entries, nil
 }
+
+// The per-trace refresh work of a report fans out over
+// Config.Parallelism workers in contiguous chunks of at least
+// minRefreshChunk traces, below which handing a chunk to another
+// goroutine costs more than refreshing it, and at most chunksPerWorker
+// chunks per worker, so one chunk of heavy traces does not leave the
+// other workers idle. A set that makes one chunk runs inline.
+const (
+	minRefreshChunk = 64
+	chunksPerWorker = 8
+)
+
+// refreshChunks returns how many chunks to split n traces into.
+func refreshChunks(workers, n int) int {
+	w := parallel.Workers(workers, n)
+	if w == 1 {
+		return 1
+	}
+	return max(1, min(n/minRefreshChunk, w*chunksPerWorker))
+}
+
+// forChunks runs fn over k contiguous chunks [lo, hi) of [0, n) on the
+// worker pool and returns the error of the lowest failing chunk.
+func forChunks(workers, n, k int, fn func(lo, hi int) error) error {
+	return parallel.ForEach(workers, k, func(c int) error {
+		return fn(c*n/k, (c+1)*n/k)
+	})
+}
+
+// detectFailure carries a chunk's first detection error out of the
+// fan-out with its index in the detect-stale set.
+type detectFailure struct {
+	index int
+	err   error
+}
+
+func (f *detectFailure) Error() string { return f.err.Error() }
 
 // finishReportMetrics updates the incremental gauges from the Step-1
 // activity accumulated since the last report and resets the counters.
@@ -453,20 +566,14 @@ func (ia *IncrementalAnalyzer) finishReportMetrics(start time.Time, corpus int) 
 // the sublinear path is differentially tested against. It serves
 // corpora the summaries cannot represent (non-finite Step-1 powers) so
 // their batch-identical error behavior is preserved.
-func (ia *IncrementalAnalyzer) reportFullLocked(start time.Time, root, s1 *obs.Span) (*Report, error) {
+func (ia *IncrementalAnalyzer) reportFullLocked(live []string, start time.Time, root, s1 *obs.Span) (*Report, error) {
 	detail := ia.a.cfg.Tracer != nil
-	n := len(ia.bundles)
-	bundles := make([]*trace.TraceBundle, 0, n)
-	keys := make([]string, 0, n)
+	n := len(live)
+	bundles := make([]*trace.TraceBundle, n)
 	results := make([]stepOneResult, n)
 	var missing []int
-	for _, key := range ia.order {
-		if key == "" {
-			continue
-		}
-		i := len(bundles)
-		bundles = append(bundles, ia.bundles[key])
-		keys = append(keys, key)
+	for i, key := range live {
+		bundles[i] = ia.cs.entries[key].b
 		if res, ok := ia.cache.get(key); ok {
 			results[i] = res
 		} else {
@@ -492,7 +599,7 @@ func (ia *IncrementalAnalyzer) reportFullLocked(start time.Time, root, s1 *obs.S
 		return nil
 	})
 	for _, i := range missing {
-		ia.cache.put(keys[i], results[i])
+		ia.cache.put(live[i], results[i])
 	}
 	rec1 := s1.End()
 

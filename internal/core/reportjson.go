@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"io"
+	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -28,7 +30,11 @@ import (
 // still encoded by encoding/json, exactly as json.Marshal encodes it —
 // escaping, float formatting and null-versus-[] stay encoding/json's
 // own — and only the field names and their order are written here,
-// from the lists below.
+// from the lists below. The one exception is the float columns (rank,
+// normPower, amplitude), a flush's bulk: floats writes them with
+// encoding/json's float rules but without its reflection, and
+// TestFloatColumnsMatchMarshal pins its bytes and errors to
+// json.Marshal's.
 
 var (
 	mFragHead = obs.Default.CounterWith("core_report_fragments_encoded_total", "part", "head",
@@ -66,23 +72,81 @@ func newFragmentWriter() *fragmentWriter {
 	return w
 }
 
-// members appends one `"key":value` object member per key, each
-// preceded by a comma unless the buffer ends with an object's opening
-// brace.
+// key appends `"k":`, preceded by a comma unless the buffer ends with
+// an object's opening brace.
+func (w *fragmentWriter) key(k string) {
+	if b := w.buf.Bytes(); len(b) == 0 || b[len(b)-1] != '{' {
+		w.buf.WriteByte(',')
+	}
+	w.buf.WriteByte('"')
+	w.buf.WriteString(k)
+	w.buf.WriteString(`":`)
+}
+
+// members appends one `"key":value` object member per key.
 func (w *fragmentWriter) members(keys []string, vals ...any) error {
 	for i, k := range keys {
-		if b := w.buf.Bytes(); len(b) == 0 || b[len(b)-1] != '{' {
-			w.buf.WriteByte(',')
-		}
-		w.buf.WriteByte('"')
-		w.buf.WriteString(k)
-		w.buf.WriteString(`":`)
+		w.key(k)
 		if err := w.enc.Encode(vals[i]); err != nil {
 			return err
 		}
 		w.buf.Truncate(w.buf.Len() - 1) // Encode's trailing newline
 	}
 	return nil
+}
+
+// floats appends the member `"k":[…]` for a float column, with
+// encoding/json's bytes but without its reflection. A column holding a
+// non-finite value goes through members, which returns encoding/json's
+// error for it.
+func (w *fragmentWriter) floats(k string, xs []float64) error {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return w.members([]string{k}, xs)
+		}
+	}
+	w.key(k)
+	if xs == nil {
+		w.buf.WriteString("null")
+		return nil
+	}
+	b := append(w.buf.AvailableBuffer(), '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, x)
+	}
+	w.buf.Write(append(b, ']'))
+	return nil
+}
+
+// appendJSONFloat appends the finite f as encoding/json encodes a
+// float64: shortest round-trip digits, in exponent form below 1e-6 and
+// from 1e21, with a one-digit negative exponent not zero-padded. Whole
+// and half numbers from 1 to 2^52, which every Step-2 rank is, skip the
+// shortest-digits search: their shortest form is the integer part and
+// a possible ".5".
+func appendJSONFloat(b []byte, f float64) []byte {
+	if f >= 1 && f < 1<<52 {
+		i := int64(f)
+		switch float64(i) {
+		case f:
+			return strconv.AppendInt(b, i, 10)
+		case f - 0.5:
+			return append(strconv.AppendInt(b, i, 10), ".5"...)
+		}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 -> e-7
+		b = b[:n-1]
+	}
+	return b
 }
 
 // fragment is one encoded piece of a report body with the SHA-256 of
@@ -113,7 +177,7 @@ func (w *fragmentWriter) head(at *AnalyzedTrace) (*fragment, error) {
 
 // rank encodes `,"rank":[…]`.
 func (w *fragmentWriter) rank(at *AnalyzedTrace) (*fragment, error) {
-	if err := w.members(traceKeys[4:5], at.Rank); err != nil {
+	if err := w.floats(traceKeys[4], at.Rank); err != nil {
 		return nil, err
 	}
 	return w.take(), nil
@@ -122,7 +186,13 @@ func (w *fragmentWriter) rank(at *AnalyzedTrace) (*fragment, error) {
 // tail encodes `,"normPower":…,"amplitude":…,"fence":…,
 // "manifestations":…,"windowKeys":…}`.
 func (w *fragmentWriter) tail(at *AnalyzedTrace) (*fragment, error) {
-	if err := w.members(traceKeys[5:], at.NormPower, at.Amplitude, at.Fence, at.Manifestations, at.WindowKeys); err != nil {
+	if err := w.floats(traceKeys[5], at.NormPower); err != nil {
+		return nil, err
+	}
+	if err := w.floats(traceKeys[6], at.Amplitude); err != nil {
+		return nil, err
+	}
+	if err := w.members(traceKeys[7:], at.Fence, at.Manifestations, at.WindowKeys); err != nil {
 		return nil, err
 	}
 	w.buf.WriteByte('}')
@@ -130,23 +200,40 @@ func (w *fragmentWriter) tail(at *AnalyzedTrace) (*fragment, error) {
 }
 
 // fragmentsLocked encodes the fragments the entries are missing and
-// returns every entry's three fragments in corpus order. Callers hold
-// ia.mu; the returned fragments may be read after releasing it, because
-// a refresh drops a fragment and a later call encodes a new one — no
-// fragment is ever written to after it is cached.
-func fragmentsLocked(w *fragmentWriter, entries []*traceEntry) ([]*fragment, error) {
-	frags := make([]*fragment, 0, 3*len(entries))
+// returns every entry's three fragments in corpus order. Above one
+// chunk of entries (refreshChunks) the encode and hash fan out over
+// workers, each chunk through its own writer into its own slots; w
+// encodes a single chunk inline. Callers hold ia.mu; the returned
+// fragments may be read after releasing it, because a refresh drops a
+// fragment and a later call encodes a new one — no fragment is ever
+// written to after it is cached.
+func fragmentsLocked(w *fragmentWriter, entries []*traceEntry, workers int) ([]*fragment, error) {
+	frags := make([]*fragment, 3*len(entries))
+	k := refreshChunks(workers, len(entries))
+	if k == 1 {
+		return frags, w.encodeMissing(entries, frags)
+	}
+	err := forChunks(workers, len(entries), k, func(lo, hi int) error {
+		return newFragmentWriter().encodeMissing(entries[lo:hi], frags[3*lo:3*hi])
+	})
+	return frags, err
+}
+
+// encodeMissing encodes and caches the fragments the entries are
+// missing and writes every entry's three fragments to out, in order.
+// Concurrent calls take disjoint entries and slots.
+func (w *fragmentWriter) encodeMissing(entries []*traceEntry, out []*fragment) error {
 	var heads, ranks, tails int64
 	defer func() {
 		mFragHead.Add(heads)
 		mFragRank.Add(ranks)
 		mFragTail.Add(tails)
 	}()
-	for _, e := range entries {
+	for i, e := range entries {
 		if e.head == nil {
 			head, err := w.head(e.at)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.head = head
 			heads++
@@ -154,7 +241,7 @@ func fragmentsLocked(w *fragmentWriter, entries []*traceEntry) ([]*fragment, err
 		if e.rank == nil {
 			rank, err := w.rank(e.at)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.rank = rank
 			ranks++
@@ -162,14 +249,14 @@ func fragmentsLocked(w *fragmentWriter, entries []*traceEntry) ([]*fragment, err
 		if e.tail == nil {
 			tail, err := w.tail(e.at)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.tail = tail
 			tails++
 		}
-		frags = append(frags, e.head, e.rank, e.tail)
+		out[3*i], out[3*i+1], out[3*i+2] = e.head, e.rank, e.tail
 	}
-	return frags, nil
+	return nil
 }
 
 // body wraps the trace fragments (three per trace, in report.Traces
@@ -331,7 +418,7 @@ func (ia *IncrementalAnalyzer) ReportJSON() (*Report, *ReportBody, error) {
 	w := newFragmentWriter()
 	var frags []*fragment
 	if entries != nil {
-		frags, err = fragmentsLocked(w, entries)
+		frags, err = fragmentsLocked(w, entries, ia.a.cfg.Parallelism)
 	}
 	ia.mu.Unlock()
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -156,6 +158,65 @@ func TestReportBodyWriteTo(t *testing.T) {
 		var got bytes.Buffer
 		if _, err := body.WriteTo(&got); err != nil || !bytes.Equal(got.Bytes(), want) || body.Len() != len(want) {
 			t.Fatalf("%s: EncodeReport wrote %s (Len %d, err %v), json.Marshal %s", r.AppID, got.Bytes(), body.Len(), err, want)
+		}
+	}
+}
+
+// TestFloatColumnsMatchMarshal pins the fragment writer's float
+// columns to encoding/json: every value — the whole and half ranks the
+// shortcut writes, their edges, and floats of every magnitude and sign
+// — encodes to json.Marshal's bytes, a nil column to null, and a
+// column with a non-finite value fails with json.Marshal's error.
+func TestFloatColumnsMatchMarshal(t *testing.T) {
+	xs := []float64{
+		0, math.Copysign(0, -1), 0.5, 1, 1.5, 2, 2.25, 7.5, 1e15 + 0.5,
+		1<<52 - 0.5, 1 << 52, 1<<52 + 1, 1<<53 + 2, 1e20, 1e21, 1.5e21, 1e-6, 9.99e-7, 1e-7, 1.234e-300,
+		-1, -1.5, -0.5, -1e-7, -1e21, math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		switch i % 4 {
+		case 0: // a mean-of-ties rank
+			xs = append(xs, float64(rng.Intn(1<<20))/2+1)
+		case 1:
+			xs = append(xs, rng.Float64()*math.Pow(10, float64(rng.Intn(50)-25)))
+		case 2:
+			xs = append(xs, -rng.ExpFloat64())
+		default:
+			xs = append(xs, math.Float64frombits(rng.Uint64()))
+		}
+	}
+	var finite []float64
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		finite = append(finite, x)
+		want, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, x); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONFloat(%v) = %s, json.Marshal = %s", x, got, want)
+		}
+	}
+	for _, col := range [][]float64{finite, nil, {}, {1, math.NaN()}, {math.Inf(-1)}} {
+		w := newFragmentWriter()
+		w.buf.WriteByte('{')
+		err := w.floats("rank", col)
+		want, wantErr := json.Marshal(map[string][]float64{"rank": col})
+		switch {
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("floats(%v) error %v, json.Marshal error %v", col, err, wantErr)
+			}
+		case err != nil:
+			t.Fatalf("floats(%v): %v", col, err)
+		default:
+			w.buf.WriteByte('}')
+			if !bytes.Equal(w.buf.Bytes(), want) {
+				t.Fatalf("floats column of %d values differs from json.Marshal", len(col))
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/stats/orderstat"
+	"repro/internal/trace"
 )
 
 // This file is the sublinear re-analysis engine behind
@@ -44,6 +45,9 @@ import (
 type traceEntry struct {
 	key     string
 	traceID string
+	// b is the bundle as submitted: the AppID scan and the full-replay
+	// fallback read it.
+	b *trace.TraceBundle
 	// err is the trace's terminal Step-1 error; when set the trace is
 	// skipped (or fails the corpus under strict mode) and the remaining
 	// fields stay zero.
@@ -84,7 +88,7 @@ type traceEntry struct {
 	// (reportjson.go); nil means not encoded since the columns behind it
 	// last changed. head covers the Step-1 identity and events, which
 	// never change for an applied entry; refreshRanks drops rank;
-	// refreshDetect drops tail. A fragment is replaced, never mutated, so
+	// renormalize drops tail. A fragment is replaced, never mutated, so
 	// a report body that shares one outlives later refreshes.
 	head, rank, tail *fragment
 }
@@ -141,17 +145,13 @@ func isFinite(v float64) bool {
 // the new trace itself (its vectors are fully determined by the
 // post-mutation summaries, so computing them now keeps Report's dirty
 // scan from always finding at least one stale trace).
-func (ia *IncrementalAnalyzer) applyAdd(key string) {
+func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
 	cs := ia.cs
 	if _, ok := cs.entries[key]; ok {
 		// Unreachable under the pending-queue cancellation invariant
 		// (an applied key only ever has a pending *remove*); degrade
 		// gracefully rather than double-count.
 		ia.applyRemove(key)
-	}
-	b := ia.bundles[key]
-	if b == nil {
-		return // canceled add; unreachable, see queue()
 	}
 	res, ok := ia.cache.get(key)
 	ia.lookups++
@@ -163,7 +163,7 @@ func (ia *IncrementalAnalyzer) applyAdd(key string) {
 		ia.cache.put(key, res)
 		ia.fresh++
 	}
-	e := &traceEntry{key: key, traceID: b.Event.TraceID}
+	e := &traceEntry{key: key, traceID: b.Event.TraceID, b: b}
 	cs.entries[key] = e
 	if res.err != nil {
 		e.err = res.err
@@ -201,10 +201,12 @@ func (ia *IncrementalAnalyzer) applyAdd(key string) {
 	}
 	ia.refreshRanks(e)
 	ia.a.normalize(e.writable(), cs.base)
-	// A detect failure here is deliberately swallowed: the entry stays
+	// A detect failure here is deliberately not folded: the entry stays
 	// detect-stale, so the next Report recomputes it in corpus order and
 	// surfaces the error exactly where the batch pipeline would.
-	_ = ia.refreshDetect(e)
+	if ia.a.detect(e.writable()) == nil {
+		ia.foldDetect(e)
+	}
 }
 
 // applyRemove retracts key's applied state: summary deletions, base
@@ -330,21 +332,53 @@ func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 	}
 }
 
-// refreshDetect re-runs Step 4 on an already-normalized trace and folds
-// the trace's new Step-5 contributions into the maintained aggregates.
-// The caller must have run Analyzer.normalize against cs.base first, on
-// e.writable(); detect assigns fresh slices to every column it writes.
-// On error nothing is stamped, so the trace stays detect-stale and the
-// error reproduces on the next Report.
-func (ia *IncrementalAnalyzer) refreshDetect(e *traceEntry) error {
-	cs := ia.cs
-	at := e.writable()
-	// Dropped before detecting: the caller's normalize already rewrote
-	// NormPower, so the tail is stale even when detection fails.
-	e.tail = nil
-	if err := ia.a.detect(at); err != nil {
-		return err
+// rerank refreshes the rank column of every rank-stale entry in
+// entries and returns how many it refreshed. Concurrent calls take
+// disjoint entries; the summaries are only read (Rank does not mutate
+// the tree).
+func (ia *IncrementalAnalyzer) rerank(entries []*traceEntry) int {
+	n := 0
+	for _, e := range entries {
+		if e.rankStale(ia.cs) {
+			ia.refreshRanks(e)
+			n++
+		}
 	}
+	return n
+}
+
+// renormalize re-runs Step 3 on detect-stale entries against the
+// current bases, dropping their tail fragments: NormPower changes even
+// if the detection that follows fails. Concurrent calls take disjoint
+// entries.
+func (ia *IncrementalAnalyzer) renormalize(entries []*traceEntry) {
+	for _, e := range entries {
+		ia.a.normalize(e.writable(), ia.cs.base)
+		e.tail = nil
+	}
+}
+
+// redetect re-runs Step 4 on renormalized entries in order, stopping at
+// the first failure, and returns that entry's index (len(entries) when
+// none failed) and its error. It folds and stamps nothing, so
+// concurrent calls on disjoint entries are safe; the caller folds the
+// entries before the lowest failure with foldDetect.
+func (ia *IncrementalAnalyzer) redetect(entries []*traceEntry) (int, error) {
+	for i, e := range entries {
+		if err := ia.a.detect(e.writable()); err != nil {
+			return i, err
+		}
+	}
+	return len(entries), nil
+}
+
+// foldDetect folds a successfully re-detected trace's Step-5
+// contributions into the maintained aggregates and stamps it
+// detect-fresh. A trace whose detection failed is never folded, so it
+// stays detect-stale and the error reproduces on the next Report.
+func (ia *IncrementalAnalyzer) foldDetect(e *traceEntry) {
+	cs := ia.cs
+	at := e.at
 	for _, id := range e.contributed {
 		cs.impact[id]--
 	}
@@ -368,7 +402,6 @@ func (ia *IncrementalAnalyzer) refreshDetect(e *traceEntry) error {
 	for j, id := range e.ids {
 		e.baseStamp[j] = cs.baseEpoch[id]
 	}
-	return nil
 }
 
 // SummaryStats is a snapshot of the incremental engine's summary state,
@@ -399,18 +432,18 @@ type SummaryStats struct {
 
 // SummaryStats snapshots the per-key summary and dirty-set state.
 func (ia *IncrementalAnalyzer) SummaryStats() SummaryStats {
-	ia.mu.Lock()
-	defer ia.mu.Unlock()
-	st := SummaryStats{
-		TaintedTraces:     ia.cs.tainted,
-		RankDirtyTraces:   ia.lastRankDirty,
-		DetectDirtyTraces: ia.lastDetectDirty,
-	}
+	var st SummaryStats
+	ia.intake.Lock()
 	for _, op := range ia.pending {
 		if op.key != "" {
 			st.PendingMutations++
 		}
 	}
+	ia.intake.Unlock()
+	ia.mu.Lock()
+	defer ia.mu.Unlock()
+	st.TaintedTraces = ia.cs.tainted
+	st.RankDirtyTraces, st.DetectDirtyTraces = ia.lastRankDirty, ia.lastDetectDirty
 	for _, s := range ia.cs.sums {
 		if s == nil {
 			continue
