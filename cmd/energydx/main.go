@@ -347,22 +347,7 @@ func watchRefresh(inc *core.IncrementalAnalyzer, path string, lenient, asJSON bo
 		logger.Warn("watch: corpus reload failed", "err", err)
 		return nil
 	}
-	live := make(map[string]bool, len(bundles))
-	added := 0
-	for _, b := range bundles {
-		key, ok := inc.Add(b)
-		live[key] = true
-		if ok {
-			added++
-		}
-	}
-	removed := 0
-	for _, key := range inc.Keys() {
-		if !live[key] {
-			inc.Remove(key)
-			removed++
-		}
-	}
+	added, removed := inc.Sync(bundles)
 	if added == 0 && removed == 0 {
 		return nil // touched but content-identical: nothing to redo
 	}

@@ -91,6 +91,44 @@ func TestQuarantineOnIntegrityMismatch(t *testing.T) {
 	}
 }
 
+// TestUnkeyedFramesQuarantined: a frame without a content key has no
+// identity. Two such frames that share app, user and trace IDs but
+// differ in content must not be taken for one bundle and its re-upload.
+func TestUnkeyedFramesQuarantined(t *testing.T) {
+	s := startServer(t)
+	conn := dialRaw(t, s)
+	r := hello(t, conn)
+
+	first, second := bundle("app", "u1", "t1"), bundle("app", "u1", "t1")
+	second.Event.Records[1].TimestampMS = 9
+	for i, b := range []*trace.TraceBundle{first, second} {
+		payload, err := binenc.EncodeBundle(nil, trace.ScrubBundle(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendFrame(t, conn, payload)
+		ack, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(ack, "ERR ") || !strings.Contains(ack, "integrity") {
+			t.Errorf("unkeyed frame %d acked %q, want an integrity rejection", i, ack)
+		}
+	}
+	entries := s.Quarantine()
+	if len(entries) != 2 {
+		t.Fatalf("quarantine holds %d entries, want 2", len(entries))
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Reason, "integrity: ") {
+			t.Errorf("reason = %q, want an integrity rejection", e.Reason)
+		}
+	}
+	if s.Count() != 0 {
+		t.Error("unkeyed bundle reached the store")
+	}
+}
+
 func TestLimitsRejectOversizeAndOverlongTraces(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", WithLimits(Limits{MaxLineBytes: 512, MaxRecords: 1}))
 	if err != nil {

@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-func open(t *testing.T, dir string, opts Options) *Log {
+// open opens the log in dir, rotating segments at segBytes.
+func open(t *testing.T, dir string, segBytes int64) *Log {
 	t.Helper()
-	l, err := Open(dir, opts)
+	l, err := openSized(dir, segBytes)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -26,12 +27,18 @@ func mustAppend(t *testing.T, l *Log, key, body string) {
 	}
 }
 
-// collect scans the log into a map plus the in-order quarantine bodies.
+// collect scans the log into a map plus the in-order quarantine bodies,
+// failing if Scan yields a key twice.
 func collect(t *testing.T, l *Log) (map[string]string, []string) {
 	t.Helper()
 	bundles := map[string]string{}
 	var quarantine []string
+	seen := map[string]bool{}
 	err := l.Scan(func(typ byte, key string, body []byte) error {
+		if seen[key] {
+			t.Fatalf("Scan yielded key %q twice", key)
+		}
+		seen[key] = true
 		switch typ {
 		case TypeBundle:
 			bundles[key] = string(body)
@@ -48,7 +55,7 @@ func collect(t *testing.T, l *Log) (map[string]string, []string) {
 
 func TestAppendScanReopen(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{})
+	l := open(t, dir, defaultSegBytes)
 	for i := 0; i < 20; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%02d", i), fmt.Sprintf("payload-%d", i))
 	}
@@ -58,17 +65,11 @@ func TestAppendScanReopen(t *testing.T) {
 	if err := l.AppendQuarantine([]byte(`{"bad":2}`)); err != nil {
 		t.Fatalf("AppendQuarantine: %v", err)
 	}
-	if err := l.Tombstone("k03"); err != nil {
-		t.Fatalf("Tombstone: %v", err)
-	}
 	check := func(l *Log) {
 		t.Helper()
 		bundles, quarantine := collect(t, l)
-		if len(bundles) != 19 {
-			t.Fatalf("want 19 live bundles, got %d", len(bundles))
-		}
-		if _, ok := bundles["k03"]; ok {
-			t.Fatal("tombstoned key still live")
+		if len(bundles) != 20 {
+			t.Fatalf("want 20 live bundles, got %d", len(bundles))
 		}
 		if bundles["k07"] != "payload-7" {
 			t.Fatalf("k07 = %q", bundles["k07"])
@@ -76,31 +77,35 @@ func TestAppendScanReopen(t *testing.T) {
 		if len(quarantine) != 2 || quarantine[0] != `{"bad":1}` || quarantine[1] != `{"bad":2}` {
 			t.Fatalf("quarantine replay = %q", quarantine)
 		}
-		if !l.Has("k00") || l.Has("k03") {
-			t.Fatal("Has disagrees with Scan")
-		}
-		body, typ, err := l.Get("k11")
-		if err != nil || typ != TypeBundle || string(body) != "payload-11" {
-			t.Fatalf("Get(k11) = %q %d %v", body, typ, err)
+		if st := l.Stats(); st.LiveRecords != 22 {
+			t.Fatalf("live records = %d, want 22", st.LiveRecords)
 		}
 	}
 	check(l)
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	l2 := open(t, dir, Options{})
+	l2 := open(t, dir, defaultSegBytes)
 	defer l2.Close()
 	check(l2)
-	// And the log keeps accepting after reopen.
+	// And the log keeps accepting after reopen, continuing the
+	// quarantine sequence.
 	mustAppend(t, l2, "post-reopen", "x")
-	if !l2.Has("post-reopen") {
+	if err := l2.AppendQuarantine([]byte(`{"bad":3}`)); err != nil {
+		t.Fatalf("AppendQuarantine: %v", err)
+	}
+	bundles, quarantine := collect(t, l2)
+	if bundles["post-reopen"] != "x" {
 		t.Fatal("append after reopen lost")
+	}
+	if len(quarantine) != 3 || quarantine[2] != `{"bad":3}` {
+		t.Fatalf("quarantine after reopen = %q", quarantine)
 	}
 }
 
 func TestDuplicateKeyIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{})
+	l := open(t, dir, defaultSegBytes)
 	mustAppend(t, l, "dup", "same-bytes")
 	mustAppend(t, l, "dup", "same-bytes")
 	bundles, _ := collect(t, l)
@@ -112,7 +117,7 @@ func TestDuplicateKeyIdempotent(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	l.Close()
-	l2 := open(t, dir, Options{})
+	l2 := open(t, dir, defaultSegBytes)
 	defer l2.Close()
 	bundles, _ = collect(t, l2)
 	if len(bundles) != 1 {
@@ -123,7 +128,7 @@ func TestDuplicateKeyIdempotent(t *testing.T) {
 // TestGroupCommitBatching: 64 concurrent appenders must share fsyncs.
 func TestGroupCommitBatching(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{})
+	l := open(t, dir, defaultSegBytes)
 	defer l.Close()
 	const workers, per = 64, 25
 	var wg sync.WaitGroup
@@ -178,7 +183,7 @@ func activeSegment(t *testing.T, dir string) string {
 // record and drop the torn bytes.
 func TestCrashTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{})
+	l := open(t, dir, defaultSegBytes)
 	for i := 0; i < 10; i++ {
 		mustAppend(t, l, fmt.Sprintf("acked-%d", i), "v")
 	}
@@ -195,7 +200,7 @@ func TestCrashTruncatedTail(t *testing.T) {
 	}
 	f.Close()
 
-	l2 := open(t, dir, Options{})
+	l2 := open(t, dir, defaultSegBytes)
 	defer l2.Close()
 	if st := l2.Stats(); st.Truncated == 0 {
 		t.Fatal("no tail truncation recorded")
@@ -207,9 +212,10 @@ func TestCrashTruncatedTail(t *testing.T) {
 	// The truncated log must accept and persist new records.
 	mustAppend(t, l2, "after-crash", "v")
 	l2.Close()
-	l3 := open(t, dir, Options{})
+	l3 := open(t, dir, defaultSegBytes)
 	defer l3.Close()
-	if !l3.Has("after-crash") || !l3.Has("acked-9") {
+	bundles, _ = collect(t, l3)
+	if _, ok := bundles["after-crash"]; !ok || len(bundles) != 11 {
 		t.Fatal("records lost after post-crash append")
 	}
 }
@@ -218,7 +224,7 @@ func TestCrashTruncatedTail(t *testing.T) {
 // is dropped, everything before it survives.
 func TestCrashBadCRC(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{})
+	l := open(t, dir, defaultSegBytes)
 	for i := 0; i < 5; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%d", i), "v")
 	}
@@ -237,13 +243,13 @@ func TestCrashBadCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2 := open(t, dir, Options{})
+	l2 := open(t, dir, defaultSegBytes)
 	defer l2.Close()
 	bundles, _ := collect(t, l2)
 	if len(bundles) != 5 {
 		t.Fatalf("want 5 survivors, got %d", len(bundles))
 	}
-	if l2.Has("torn") {
+	if _, ok := bundles["torn"]; ok {
 		t.Fatal("corrupt record replayed")
 	}
 	if st := l2.Stats(); st.Truncated == 0 {
@@ -264,7 +270,7 @@ func fileSizeAt(t *testing.T, path string) int64 {
 // not a torn tail — Open must refuse rather than silently truncate.
 func TestSealedCorruptionFails(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{SegmentBytes: 256})
+	l := open(t, dir, 256)
 	for i := 0; i < 40; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%02d", i), "some payload to fill segments")
 	}
@@ -282,24 +288,23 @@ func TestSealedCorruptionFails(t *testing.T) {
 	data, _ := os.ReadFile(sealed)
 	data[len(data)/2] ^= 0xff
 	os.WriteFile(sealed, data, 0o644)
-	if _, err := Open(dir, Options{SegmentBytes: 256}); !errors.Is(err, ErrSealedTorn) {
-		t.Fatalf("want ErrSealedTorn, got %v", err)
+	if _, err := openSized(dir, 256); !errors.Is(err, errSealedTorn) {
+		t.Fatalf("want errSealedTorn, got %v", err)
 	}
 }
 
 func TestRotationReplay(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{SegmentBytes: 512})
+	l := open(t, dir, 512)
 	const n = 100
 	for i := 0; i < n; i++ {
 		mustAppend(t, l, fmt.Sprintf("k%03d", i), "padding padding padding")
 	}
-	st := l.Stats()
-	if st.Rotations == 0 || st.Segments < 2 {
-		t.Fatalf("no rotation: %+v", st)
+	if ents, _ := os.ReadDir(dir); len(ents) < 2 {
+		t.Fatalf("no rotation: %d segments", len(ents))
 	}
 	l.Close()
-	l2 := open(t, dir, Options{SegmentBytes: 512})
+	l2 := open(t, dir, 512)
 	defer l2.Close()
 	bundles, _ := collect(t, l2)
 	if len(bundles) != n {
@@ -307,96 +312,11 @@ func TestRotationReplay(t *testing.T) {
 	}
 }
 
-func TestCompaction(t *testing.T) {
+// TestConcurrentAppendScan races appends across rotations with scans;
+// run with -race in the soak job.
+func TestConcurrentAppendScan(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{SegmentBytes: 400})
-	for i := 0; i < 60; i++ {
-		mustAppend(t, l, fmt.Sprintf("k%02d", i%10), fmt.Sprintf("generation-%d", i/10))
-	}
-	for _, dead := range []string{"k00", "k01"} {
-		if err := l.Tombstone(dead); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := l.Stats()
-	if before.DeadBytes == 0 {
-		t.Fatalf("expected dead bytes before compaction: %+v", before)
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after := l.Stats()
-	if after.Compactions != 1 {
-		t.Fatalf("compactions = %d", after.Compactions)
-	}
-	if after.DeadBytes != 0 {
-		t.Fatalf("dead bytes survived compaction: %+v", after)
-	}
-	if after.Segments >= before.Segments {
-		t.Fatalf("segments %d -> %d", before.Segments, after.Segments)
-	}
-	verify := func(l *Log) {
-		t.Helper()
-		bundles, _ := collect(t, l)
-		if len(bundles) != 8 {
-			t.Fatalf("live = %d, want 8", len(bundles))
-		}
-		for i := 2; i < 10; i++ {
-			if bundles[fmt.Sprintf("k%02d", i)] != "generation-5" {
-				t.Fatalf("k%02d = %q, want last generation", i, bundles[fmt.Sprintf("k%02d", i)])
-			}
-		}
-	}
-	verify(l)
-	l.Close()
-	l2 := open(t, dir, Options{SegmentBytes: 400})
-	defer l2.Close()
-	verify(l2)
-	// Compacted log keeps compacting (generation numbers advance).
-	for i := 0; i < 30; i++ {
-		mustAppend(t, l2, fmt.Sprintf("k%02d", i%10), "newer")
-	}
-	if err := l2.Compact(); err != nil {
-		t.Fatalf("second Compact: %v", err)
-	}
-	bundles, _ := collect(t, l2)
-	for i := 0; i < 10; i++ {
-		if bundles[fmt.Sprintf("k%02d", i)] != "newer" {
-			t.Fatalf("k%02d stale after second compaction", i)
-		}
-	}
-}
-
-func TestQuarantineKeepCap(t *testing.T) {
-	dir := t.TempDir()
-	l := open(t, dir, Options{SegmentBytes: 256, QuarantineKeep: 3})
-	for i := 0; i < 10; i++ {
-		if err := l.AppendQuarantine([]byte(fmt.Sprintf("bad-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAppend(t, l, "pad", "force a rotation boundary")
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	_, quarantine := collect(t, l)
-	if len(quarantine) > 7 { // records still in the active segment survive the cap
-		t.Fatalf("quarantine cap ineffective: %d live", len(quarantine))
-	}
-	// Replay order of survivors is preserved.
-	for i := 1; i < len(quarantine); i++ {
-		if quarantine[i-1] >= quarantine[i] {
-			t.Fatalf("quarantine order broken: %q", quarantine)
-		}
-	}
-	l.Close()
-}
-
-// TestConcurrentAppendScanCompact races the three public paths; run
-// with -race in the soak job.
-func TestConcurrentAppendScanCompact(t *testing.T) {
-	dir := t.TempDir()
-	l := open(t, dir, Options{SegmentBytes: 2048, AutoCompact: true, CompactRatio: 0.3})
+	l := open(t, dir, 2048)
 	defer l.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -419,15 +339,6 @@ func TestConcurrentAppendScanCompact(t *testing.T) {
 			_ = l.Scan(func(byte, string, []byte) error { return nil })
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			if err := l.Compact(); err != nil && !errors.Is(err, errCompacting) {
-				t.Errorf("compact: %v", err)
-			}
-		}
-	}()
 	wg.Wait()
 	bundles, _ := collect(t, l)
 	if len(bundles) != 25 {
@@ -436,10 +347,10 @@ func TestConcurrentAppendScanCompact(t *testing.T) {
 }
 
 // TestCloseAckInvariant: an Append that returned nil is durable even if
-// Close raced it; an ErrClosed append left no trace.
+// Close raced it; an append refused as closed left no trace.
 func TestCloseAckInvariant(t *testing.T) {
 	dir := t.TempDir()
-	l := open(t, dir, Options{})
+	l := open(t, dir, defaultSegBytes)
 	var mu sync.Mutex
 	acked := map[string]bool{}
 	var wg sync.WaitGroup
@@ -450,7 +361,7 @@ func TestCloseAckInvariant(t *testing.T) {
 			for i := 0; ; i++ {
 				key := fmt.Sprintf("w%02d-%04d", w, i)
 				err := l.AppendBundle(key, []byte("v"))
-				if errors.Is(err, ErrClosed) {
+				if errors.Is(err, errClosed) {
 					return
 				}
 				if err != nil {
@@ -471,7 +382,7 @@ func TestCloseAckInvariant(t *testing.T) {
 	}
 	wg.Wait()
 
-	l2 := open(t, dir, Options{})
+	l2 := open(t, dir, defaultSegBytes)
 	defer l2.Close()
 	bundles, _ := collect(t, l2)
 	for key := range acked {
@@ -482,15 +393,15 @@ func TestCloseAckInvariant(t *testing.T) {
 }
 
 func TestEmptyAndMissingKeys(t *testing.T) {
-	l := open(t, t.TempDir(), Options{})
+	l := open(t, t.TempDir(), defaultSegBytes)
 	defer l.Close()
-	if err := l.AppendBundle("", []byte("x")); !errors.Is(err, ErrEmptyKey) {
-		t.Fatalf("want ErrEmptyKey, got %v", err)
+	if err := l.AppendBundle("", []byte("x")); !errors.Is(err, errEmptyKey) {
+		t.Fatalf("want errEmptyKey, got %v", err)
 	}
-	if _, _, err := l.Get("nope"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("want ErrNotExist, got %v", err)
+	if err := l.AppendBundle(string(make([]byte, maxKeyLen+1)), []byte("x")); !errors.Is(err, errKeyTooLarge) {
+		t.Fatalf("want errKeyTooLarge, got %v", err)
 	}
-	if err := l.Append(42, "k", nil); !errors.Is(err, ErrBadType) {
-		t.Fatalf("want ErrBadType, got %v", err)
+	if bundles, quarantine := collect(t, l); len(bundles)+len(quarantine) != 0 {
+		t.Fatalf("rejected appends left records: %v %q", bundles, quarantine)
 	}
 }

@@ -12,36 +12,39 @@ import (
 
 // SegStore is the collection tier's Store: accepted bundles land as
 // binenc payloads in a segmented append-only log
-// (internal/collect/seglog), addressed by their dedup key. Appends are
-// group-committed — many concurrent uploads share each fsync — which
-// is what lets ingest throughput scale with connection count instead
-// of being capped at one bundle per fsync latency. Quarantined uploads
-// ride in the same log as typed records, so one directory, one
-// recovery path and one compactor cover everything.
+// (internal/collect/seglog), addressed by their content key. Appends
+// are group-committed — many concurrent uploads share each fsync —
+// which is what lets ingest throughput scale with connection count
+// instead of being capped at one bundle per fsync latency. Quarantined
+// uploads ride in the same log as typed records, so one directory and
+// one recovery path cover everything.
 type SegStore struct {
 	log *seglog.Log
 }
 
-// NewSegStore opens (creating if needed) a segmented store in dir.
-func NewSegStore(dir string, opts seglog.Options) (*SegStore, error) {
-	l, err := seglog.Open(dir, opts)
+// NewSegStore opens (creating if needed) a segmented store in dir. The
+// log has no settings; the deprecated seglog.Options argument is
+// ignored.
+func NewSegStore(dir string, _ seglog.Options) (*SegStore, error) {
+	l, err := seglog.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("collect: segstore: %w", err)
 	}
 	return &SegStore{log: l}, nil
 }
 
-// Log exposes the underlying segment log (stats, manual compaction).
+// Log exposes the underlying segment log (stats and raw scans).
 func (s *SegStore) Log() *seglog.Log { return s.log }
 
-// Append durably group-commits one bundle, keyed by its dedup key so a
-// re-upload of the same content is idempotent on disk too.
+// Append durably group-commits one bundle, keyed by its content key so
+// a re-upload of the same content is idempotent on disk too. A bundle
+// without a key is refused.
 func (s *SegStore) Append(b *trace.TraceBundle) error {
 	payload, err := binenc.EncodeBundle(nil, b)
 	if err != nil {
 		return fmt.Errorf("collect: segstore encode: %w", err)
 	}
-	if err := s.log.AppendBundle(dedupKey(b), payload); err != nil {
+	if err := s.log.AppendBundle(b.Key, payload); err != nil {
 		return fmt.Errorf("collect: segstore append: %w", err)
 	}
 	return nil
@@ -50,7 +53,9 @@ func (s *SegStore) Append(b *trace.TraceBundle) error {
 // Load replays every live bundle, keyed by app ID. Bundles whose
 // payloads fail to decode (impossible without disk corruption that
 // also beat the CRC) are skipped and counted. A torn tail left by a
-// crash mid-commit never gets here: the log truncates it at open.
+// crash mid-commit never gets here: the log truncates it at open. A
+// bundle persisted without a content key comes back stamped with
+// trace.ContentKey, so every loaded bundle has its identity.
 func (s *SegStore) Load() (map[string][]*trace.TraceBundle, int, error) {
 	out := make(map[string][]*trace.TraceBundle)
 	skipped := 0
@@ -62,6 +67,9 @@ func (s *SegStore) Load() (map[string][]*trace.TraceBundle, int, error) {
 		if err != nil {
 			skipped++
 			return nil
+		}
+		if b.Key == "" {
+			b.Key = trace.ContentKey(b)
 		}
 		out[b.Event.AppID] = append(out[b.Event.AppID], b)
 		return nil

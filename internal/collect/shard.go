@@ -101,7 +101,7 @@ func newShard(opts []ServerOption) (*shard, error) {
 		for appID, bundles := range persisted {
 			for _, b := range bundles {
 				sh.byApp[appID] = append(sh.byApp[appID], b)
-				sh.dupes[dedupKey(b)] = struct{}{}
+				sh.dupes[b.Key] = struct{}{}
 			}
 		}
 		// Undecodable records were never usable; record them for
@@ -116,16 +116,6 @@ func (sh *shard) close() {
 	sh.mu.Lock()
 	sh.closed = true
 	sh.mu.Unlock()
-}
-
-// dedupKey identifies a bundle across re-uploads and restarts: the
-// stamped content key when present, else the app/user/trace triple
-// (legacy uploaders without integrity keys).
-func dedupKey(b *trace.TraceBundle) string {
-	if b.Key != "" {
-		return b.Key
-	}
-	return b.Event.AppID + "/" + b.Event.UserID + "/" + b.Event.TraceID
 }
 
 func keyOrUnknown(key string) string {
@@ -191,7 +181,8 @@ func (sh *shard) ingest(payload []byte) (key string, stored *trace.TraceBundle, 
 func (sh *shard) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.TraceBundle, dup bool, err error) {
 	key = b.Key
 	// Integrity before anything else: a bundle altered in flight must
-	// not reach the store even if it still decodes.
+	// not reach the store even if it still decodes, and an unkeyed one
+	// has no identity to dedupe or store it by.
 	if err := trace.VerifyContentKey(b); err != nil {
 		return key, nil, false, fmt.Errorf("integrity: %v", err)
 	}
@@ -211,7 +202,6 @@ func (sh *shard) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.T
 		return key, nil, false, fmt.Errorf("utilization trace: %v", err)
 	}
 	scrubbed := trace.ScrubBundle(b)
-	dk := dedupKey(scrubbed)
 
 	sh.mu.Lock()
 	for {
@@ -219,11 +209,11 @@ func (sh *shard) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.T
 			sh.mu.Unlock()
 			return key, nil, false, errors.New("server shutting down")
 		}
-		if _, seen := sh.dupes[dk]; seen {
+		if _, seen := sh.dupes[key]; seen {
 			sh.mu.Unlock()
 			return key, nil, true, nil // idempotent: re-uploads after a lost ack are fine
 		}
-		leader, busy := sh.inflight[dk]
+		leader, busy := sh.inflight[key]
 		if !busy {
 			break
 		}
@@ -235,7 +225,7 @@ func (sh *shard) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.T
 		sh.mu.Lock()
 	}
 	fl := &inflight{done: make(chan struct{})}
-	sh.inflight[dk] = fl
+	sh.inflight[key] = fl
 	sh.mu.Unlock()
 
 	// Persist before acknowledging: an acked bundle survives a crash; a
@@ -247,9 +237,9 @@ func (sh *shard) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.T
 	}
 
 	sh.mu.Lock()
-	delete(sh.inflight, dk)
+	delete(sh.inflight, key)
 	if aerr == nil {
-		sh.dupes[dk] = struct{}{}
+		sh.dupes[key] = struct{}{}
 		sh.byApp[scrubbed.Event.AppID] = append(sh.byApp[scrubbed.Event.AppID], scrubbed)
 	}
 	close(fl.done)

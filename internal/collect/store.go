@@ -18,7 +18,8 @@ type Store interface {
 	// Append durably persists one accepted bundle.
 	Append(b *trace.TraceBundle) error
 	// Load reads every persisted bundle back, keyed by app ID, plus the
-	// count of undecodable records skipped.
+	// count of undecodable records skipped. Every bundle comes back
+	// with its content key set.
 	Load() (map[string][]*trace.TraceBundle, int, error)
 	// AppendQuarantine durably records one rejected upload.
 	AppendQuarantine(entry QuarantineEntry) error

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/collect/seglog"
 	"repro/internal/trace"
+	"repro/internal/trace/binenc"
 )
 
 func TestSegStoreAppendAndLoad(t *testing.T) {
@@ -42,6 +43,46 @@ func TestSegStoreAppendAndLoad(t *testing.T) {
 	}
 	if len(loaded["k9mail"]) != 2 || len(loaded["opengps"]) != 1 {
 		t.Errorf("loaded = %d k9, %d gps", len(loaded["k9mail"]), len(loaded["opengps"]))
+	}
+}
+
+// TestUnkeyedPersistedBundleReloadsKeyed: a bundle a log holds without
+// a content key reloads stamped with trace.ContentKey, so a keyed
+// re-upload of the same content is a duplicate of it.
+func TestUnkeyedPersistedBundleReloadsKeyed(t *testing.T) {
+	dir := t.TempDir()
+	legacy := trace.ScrubBundle(bundle("k9mail", "u1", "t1"))
+	payload, err := binenc.EncodeBundle(nil, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := seglog.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := legacy.Event
+	if err := l.AppendBundle(ev.AppID+"/"+ev.UserID+"/"+ev.TraceID, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := NewSegStore(dir, seglog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() }) // after the server's own cleanup
+	srv := startServer(t, WithStore(store))
+	got := srv.Bundles("k9mail")
+	if len(got) != 1 || got[0].Key != trace.ContentKey(legacy) {
+		t.Fatalf("reloaded %d bundles, want one keyed %s: %+v", len(got), trace.ContentKey(legacy), got)
+	}
+	if err := NewClient(srv.Addr()).Upload(charging(), []*trace.TraceBundle{bundle("k9mail", "u1", "t1")}); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Duplicated != 1 || st.Accepted != 0 {
+		t.Fatalf("stats = %+v, want the re-upload counted as a duplicate", st)
 	}
 }
 

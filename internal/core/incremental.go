@@ -222,14 +222,19 @@ func (ia *IncrementalAnalyzer) Add(b *trace.TraceBundle) (key string, added bool
 	key = bundleKey(b)
 	ia.intake.Lock()
 	defer ia.intake.Unlock()
+	return key, ia.addLocked(key, b)
+}
+
+// addLocked is Add with the key computed. Callers hold ia.intake.
+func (ia *IncrementalAnalyzer) addLocked(key string, b *trace.TraceBundle) bool {
 	if _, ok := ia.bundles[key]; ok {
-		return key, false
+		return false
 	}
 	ia.bundles[key] = b
 	ia.orderIdx[key] = len(ia.order)
 	ia.order = append(ia.order, key)
 	ia.queue(key, b, true)
-	return key, true
+	return true
 }
 
 // Remove deletes the bundle with the given content key from the corpus,
@@ -240,6 +245,11 @@ func (ia *IncrementalAnalyzer) Add(b *trace.TraceBundle) (key string, added bool
 func (ia *IncrementalAnalyzer) Remove(key string) bool {
 	ia.intake.Lock()
 	defer ia.intake.Unlock()
+	return ia.removeLocked(key)
+}
+
+// removeLocked is Remove. Callers hold ia.intake.
+func (ia *IncrementalAnalyzer) removeLocked(key string) bool {
 	if _, ok := ia.bundles[key]; !ok {
 		return false
 	}
@@ -252,6 +262,39 @@ func (ia *IncrementalAnalyzer) Remove(key string) bool {
 	}
 	ia.queue(key, nil, false)
 	return true
+}
+
+// Sync makes bundles, in order, the whole corpus: it adds each bundle
+// whose content is not yet present and removes every bundle whose
+// content key is not among them, and returns how many it added and
+// removed. Survivors keep their corpus positions and new bundles
+// append, as with Add and Remove. The whole diff runs under the intake
+// lock, so a report sees the corpus either wholly before or wholly
+// after the sync.
+func (ia *IncrementalAnalyzer) Sync(bundles []*trace.TraceBundle) (added, removed int) {
+	keys := make([]string, len(bundles))
+	live := make(map[string]bool, len(bundles))
+	for i, b := range bundles {
+		keys[i] = bundleKey(b)
+		live[keys[i]] = true
+	}
+	ia.intake.Lock()
+	defer ia.intake.Unlock()
+	for i, b := range bundles {
+		if ia.addLocked(keys[i], b) {
+			added++
+		}
+	}
+	var gone []string
+	for _, k := range ia.order {
+		if k != "" && !live[k] {
+			gone = append(gone, k)
+		}
+	}
+	for _, k := range gone {
+		ia.removeLocked(k) // may compact ia.order, hence the copy
+	}
+	return added, len(gone)
 }
 
 // compactOrder rewrites ia.order without tombstones and reindexes the
@@ -303,19 +346,6 @@ func (ia *IncrementalAnalyzer) Bundles() []*trace.TraceBundle {
 		}
 	}
 	return out
-}
-
-// Keys returns the corpus's content keys in insertion order (a copy).
-func (ia *IncrementalAnalyzer) Keys() []string {
-	ia.intake.Lock()
-	defer ia.intake.Unlock()
-	keys := make([]string, 0, len(ia.bundles))
-	for _, k := range ia.order {
-		if k != "" {
-			keys = append(keys, k)
-		}
-	}
-	return keys
 }
 
 // CacheStats snapshots the Step-1 cache counters.
@@ -403,17 +433,11 @@ func (ia *IncrementalAnalyzer) reportOnLocked(ops []pendingOp, live []string) (*
 
 	// Step 2: re-rank only traces whose key multisets changed.
 	s2 := root.Child("step2.rank")
-	var rankDirty int
-	if k := refreshChunks(workers, len(entries)); k == 1 {
-		rankDirty = ia.rerank(entries)
-	} else {
-		var n atomic.Int64
-		_ = forChunks(workers, len(entries), k, func(lo, hi int) error {
-			n.Add(int64(ia.rerank(entries[lo:hi])))
-			return nil
-		})
-		rankDirty = int(n.Load())
-	}
+	var rankDirty atomic.Int64
+	_ = forChunks(workers, len(entries), refreshChunks(workers, len(entries)), func(lo, hi int) error {
+		rankDirty.Add(int64(ia.rerank(entries[lo:hi])))
+		return nil
+	})
 	rec2 := s2.End()
 
 	// Step 3: re-normalize only traces whose base powers changed.
@@ -425,14 +449,10 @@ func (ia *IncrementalAnalyzer) reportOnLocked(ops []pendingOp, live []string) (*
 		}
 	}
 	k := refreshChunks(workers, len(detectDirty))
-	if k == 1 {
-		ia.renormalize(detectDirty)
-	} else {
-		_ = forChunks(workers, len(detectDirty), k, func(lo, hi int) error {
-			ia.renormalize(detectDirty[lo:hi])
-			return nil
-		})
-	}
+	_ = forChunks(workers, len(detectDirty), k, func(lo, hi int) error {
+		ia.renormalize(detectDirty[lo:hi])
+		return nil
+	})
 	rec3 := s3.End()
 
 	// Step 4: re-detect the same traces. Each chunk stops at its first
@@ -442,21 +462,16 @@ func (ia *IncrementalAnalyzer) reportOnLocked(ops []pendingOp, live []string) (*
 	// (errors never stamp), and so is every unfolded one after it, so
 	// the next report recomputes them all.
 	s4 := root.Child("step4.detect")
-	var failed int
+	failed := len(detectDirty)
 	var err error
-	if k == 1 {
-		failed, err = ia.redetect(detectDirty)
-	} else {
-		failed = len(detectDirty)
-		ferr := forChunks(workers, len(detectDirty), k, func(lo, hi int) error {
-			if i, err := ia.redetect(detectDirty[lo:hi]); err != nil {
-				return &detectFailure{index: lo + i, err: err}
-			}
-			return nil
-		})
-		if df, ok := ferr.(*detectFailure); ok {
-			failed, err = df.index, df.err
+	ferr := forChunks(workers, len(detectDirty), k, func(lo, hi int) error {
+		if i, err := ia.redetect(detectDirty[lo:hi]); err != nil {
+			return &detectFailure{index: lo + i, err: err}
 		}
+		return nil
+	})
+	if df, ok := ferr.(*detectFailure); ok {
+		failed, err = df.index, df.err
 	}
 	for _, e := range detectDirty[:failed] {
 		ia.foldDetect(e)
@@ -493,13 +508,13 @@ func (ia *IncrementalAnalyzer) reportOnLocked(ops []pendingOp, live []string) (*
 
 	report.Stages = []StageTiming{
 		{Step: 1, Name: "estimate", Wall: rec1.Wall(), CPU: rec1.CPU(), Items: len(live)},
-		{Step: 2, Name: "rank", Wall: rec2.Wall(), CPU: rec2.CPU(), Items: rankDirty},
+		{Step: 2, Name: "rank", Wall: rec2.Wall(), CPU: rec2.CPU(), Items: int(rankDirty.Load())},
 		{Step: 3, Name: "normalize", Wall: rec3.Wall(), CPU: rec3.CPU(), Items: len(detectDirty)},
 		{Step: 4, Name: "detect", Wall: rec4.Wall(), CPU: rec4.CPU(), Items: len(detectDirty)},
 		{Step: 5, Name: "impacts", Wall: rec5.Wall(), CPU: rec5.CPU(), Items: len(report.Impacted)},
 		{Step: 0, Name: "total", Wall: recTotal.Wall(), CPU: recTotal.CPU(), Items: len(entries)},
 	}
-	ia.lastRankDirty, ia.lastDetectDirty = rankDirty, len(detectDirty)
+	ia.lastRankDirty, ia.lastDetectDirty = int(rankDirty.Load()), len(detectDirty)
 
 	mAnalyses.Inc()
 	mTracesAnalyzed.Add(int64(len(entries)))
@@ -530,7 +545,8 @@ func refreshChunks(workers, n int) int {
 }
 
 // forChunks runs fn over k contiguous chunks [lo, hi) of [0, n) on the
-// worker pool and returns the error of the lowest failing chunk.
+// worker pool and returns the error of the lowest failing chunk. One
+// chunk runs inline, through parallel.ForEach's serial path.
 func forChunks(workers, n, k int, fn func(lo, hi int) error) error {
 	return parallel.ForEach(workers, k, func(c int) error {
 		return fn(c*n/k, (c+1)*n/k)

@@ -100,9 +100,9 @@ func TestReAddSameWindowCancels(t *testing.T) {
 	if after.Lookups != before.Lookups {
 		t.Fatalf("canceled remove/re-add still looked up the cache: %d -> %d lookups", before.Lookups, after.Lookups)
 	}
-	got := ia.Keys()
-	if got[len(got)-1] != keys[0] {
-		t.Fatalf("re-added key is not at the end of the corpus order: %v", got)
+	got := ia.Bundles()
+	if got[len(got)-1] != bundles[0] {
+		t.Fatal("re-added bundle is not at the end of the corpus order")
 	}
 	if len(got) != len(keys) {
 		t.Fatalf("corpus size changed: %d -> %d", len(keys), len(got))
@@ -225,5 +225,43 @@ func TestReAddNegativeEntry(t *testing.T) {
 	}
 	if len(restored.Skipped) != 1 || restored.Skipped[0].TraceID != corrupt.Event.TraceID {
 		t.Fatalf("re-added corrupt bundle not skipped again: %+v", restored.Skipped)
+	}
+}
+
+// TestSyncReplacesCorpus: Sync makes a bundle list the whole corpus.
+// Survivors keep their positions, new bundles append in list order, a
+// bundle listed twice counts once, and the report matches batch.
+func TestSyncReplacesCorpus(t *testing.T) {
+	cfg := core.DefaultConfig()
+	ia, err := core.NewIncrementalAnalyzer(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles := readdCorpus(t)
+	n := len(bundles)
+	if added, removed := ia.Sync(bundles[:n-2]); added != n-2 || removed != 0 {
+		t.Fatalf("first sync: +%d/-%d, want +%d/-0", added, removed, n-2)
+	}
+	mustMatchBatch(t, cfg, ia)
+
+	// Drop the first two bundles, keep the middle, add the last two.
+	next := append([]*trace.TraceBundle{bundles[n-1]}, bundles[2:n-2]...)
+	next = append(next, bundles[n-2], bundles[n-1])
+	if added, removed := ia.Sync(next); added != 2 || removed != 2 {
+		t.Fatalf("second sync: +%d/-%d, want +2/-2", added, removed)
+	}
+	want := append(append([]*trace.TraceBundle(nil), bundles[2:n-2]...), bundles[n-1], bundles[n-2])
+	got := ia.Bundles()
+	if len(got) != len(want) {
+		t.Fatalf("corpus holds %d bundles, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("corpus position %d holds the wrong bundle", i)
+		}
+	}
+	mustMatchBatch(t, cfg, ia)
+	if added, removed := ia.Sync(next); added != 0 || removed != 0 {
+		t.Fatalf("repeated sync: +%d/-%d, want no change", added, removed)
 	}
 }

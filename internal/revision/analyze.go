@@ -76,21 +76,8 @@ type VersionResult struct {
 // semantics the serving layer's watch path uses.
 func (a *Analyzer) AnalyzeVersion(index int, bundles []*trace.TraceBundle) (*VersionResult, error) {
 	res := &VersionResult{Index: index}
-	live := make(map[string]bool, len(bundles))
-	for _, b := range bundles {
-		key, added := a.inc.Add(b)
-		live[key] = true
-		if added {
-			res.Delta.Added++
-		}
-	}
-	for _, key := range a.inc.Keys() {
-		if !live[key] {
-			a.inc.Remove(key)
-			res.Delta.Removed++
-		}
-	}
-	res.Delta.Shared = len(live) - res.Delta.Added
+	res.Delta.Added, res.Delta.Removed = a.inc.Sync(bundles)
+	res.Delta.Shared = a.inc.Len() - res.Delta.Added
 	rep, err := a.inc.Report()
 	if err != nil {
 		return nil, fmt.Errorf("revision: analyze v%d: %w", index, err)

@@ -169,7 +169,7 @@ type Snapshot struct {
 type analyzer interface {
 	Add(b *trace.TraceBundle) (key string, added bool)
 	Remove(key string) bool
-	Keys() []string
+	Sync(bundles []*trace.TraceBundle) (added, removed int)
 	Len() int
 	Bundles() []*trace.TraceBundle
 	ReportJSON() (*core.Report, *core.ReportBody, error)
@@ -379,31 +379,20 @@ func (s *Service) Notify(b *trace.TraceBundle) {
 // the app halfway through, so the change lands as one report version —
 // what a version-diff workload needs when the app's quiet period is
 // shorter than a run of separate Notify and Remove calls. The bundles
-// must belong to app. It holds the service lock throughout, so keep it
-// off the ingest hot path.
+// must belong to app. The diff runs under the analyzer's intake lock
+// (core.IncrementalAnalyzer.Sync), not the service lock, so it holds up
+// only this app's arrivals.
 func (s *Service) SyncCorpus(app string, bundles []*trace.TraceBundle) (added, removed int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.appLocked(app)
+	s.mu.Unlock()
 	if st == nil {
 		return 0, 0
 	}
-	live := make(map[string]bool, len(bundles))
-	for _, b := range bundles {
-		key, ok := st.inc.Add(b)
-		live[key] = true
-		if ok {
-			added++
-		}
-	}
-	for _, key := range st.inc.Keys() {
-		if !live[key] && st.inc.Remove(key) {
-			removed++
-		}
-	}
+	added, removed = st.inc.Sync(bundles)
 	mRemoves.Add(int64(removed))
 	if added+removed > 0 {
-		s.scheduleLocked(app, st)
+		s.schedule(app, st)
 	}
 	return added, removed
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -364,11 +365,12 @@ func ContentKey(b *TraceBundle) string {
 }
 
 // VerifyContentKey checks a bundle's stamped Key against its content.
-// Bundles without a key (legacy uploaders) pass; a stamped key that no
-// longer matches the content means the line was altered in flight.
+// The key is an uploaded bundle's identity for dedup and storage, so a
+// bundle without one fails; a stamped key that no longer matches the
+// content means the bundle was altered in flight.
 func VerifyContentKey(b *TraceBundle) error {
 	if b.Key == "" {
-		return nil
+		return errors.New("trace: bundle has no content key")
 	}
 	if got := ContentKey(b); got != b.Key {
 		return fmt.Errorf("trace: content key mismatch: stamped %s, content hashes to %s", b.Key, got)

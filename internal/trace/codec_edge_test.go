@@ -209,8 +209,8 @@ func TestContentKeyDetectsMutationAndIgnoresKeyField(t *testing.T) {
 	if err := VerifyContentKey(b); err == nil {
 		t.Error("mutated bundle still verifies")
 	}
-	// Legacy bundles without a key pass verification.
-	if err := VerifyContentKey(&TraceBundle{Event: EventTrace{AppID: "x"}}); err != nil {
-		t.Errorf("keyless bundle rejected: %v", err)
+	// A bundle without a key has no identity and fails verification.
+	if err := VerifyContentKey(&TraceBundle{Event: EventTrace{AppID: "x"}}); err == nil {
+		t.Error("keyless bundle verifies")
 	}
 }
