@@ -101,7 +101,6 @@ func run() error {
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/vars and /debug/pprof on this address ('' = disabled)")
 		serveAnal    = flag.Bool("serve-analysis", false, "incrementally re-analyze ingested bundles and serve the latest per-app report under /analysis/ on -debug-addr")
 		analDebounce = flag.Duration("analysis-debounce", 500*time.Millisecond, "upper bound on each app's quiet period after its last upload before it is re-analyzed; the quiet period is the app's last flush cost")
-		analCache    = flag.Int("analysis-cache", 0, "per-app Step-1 result cache capacity in bundles (0 = default)")
 		logLevel     = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat    = flag.String("log-format", "text", "log output format: text|json")
 	)
@@ -138,7 +137,6 @@ func run() error {
 		}
 		svc, err = serve.New(serve.Config{
 			Analysis: core.DefaultConfig(),
-			CacheCap: *analCache,
 			Debounce: *analDebounce,
 			Logger:   logger,
 		})

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -221,12 +222,13 @@ func (a *Analyzer) Analyze(bundles []*trace.TraceBundle) (*Report, error) {
 }
 
 // finish runs Steps 2–5 over already-estimated traces and assembles the
-// report. It is the single implementation behind both the batch path
-// (Analyze, which computes Step 1 fresh) and the incremental path
-// (IncrementalAnalyzer.Report, which replays cached Step-1 outputs), so
-// the two are byte-identical by construction. bundles is the submitted
-// corpus in order (including invalid entries), used for the AppID scan
-// and the Step-1 item count; traces and skipped partition it.
+// report. It is the batch path's back half (Analyze computes Step 1
+// fresh and hands the traces here); the metamorphic tests also call it
+// on hand-built traces. IncrementalAnalyzer does not: its Steps 2–5 run
+// off the per-key summaries and are differentially tested against this.
+// bundles is the submitted corpus in order (including invalid entries),
+// used for the AppID scan and the Step-1 item count; traces and skipped
+// partition it.
 func (a *Analyzer) finish(bundles []*trace.TraceBundle, traces []*AnalyzedTrace, skipped []SkippedTrace, root *obs.Span, rec1 obs.SpanRecord) (*Report, error) {
 	detail := a.cfg.Tracer != nil
 	if len(traces) == 0 {
@@ -403,6 +405,12 @@ func (a *Analyzer) estimateEvents(b *trace.TraceBundle) (*AnalyzedTrace, error) 
 		p, ok := sc.index.MeanBetween(in.StartMS, in.EndMS)
 		if !ok {
 			continue // no power sample anywhere near the instance
+		}
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			// Step 2 ranks each instance against every instance of its
+			// event, which needs a number: a profile that yields NaN or
+			// Inf disqualifies the trace here, not the corpus later.
+			return nil, fmt.Errorf("step 1: non-finite power estimate for %s", in.Key)
 		}
 		at.Events = append(at.Events, EventPower{Instance: in, PowerMW: p})
 		at.keyIDs = append(at.keyIDs, ids[i])

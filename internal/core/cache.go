@@ -18,12 +18,12 @@ var (
 	mCacheEvictions = obs.Default.Counter("core_step1_cache_evictions_total", "step-1 cache LRU evictions across all incremental analyzers")
 )
 
-// DefaultStepCacheCap is the default bound on cached Step-1 outputs per
+// defaultStepCacheCap is the default bound on cached Step-1 outputs per
 // incremental analyzer. One entry holds the analyzed events of one
 // bundle, so the default comfortably covers the paper-scale corpora
 // (tens of traces) and a production per-app working set, while keeping
 // a hard ceiling on memory.
-const DefaultStepCacheCap = 4096
+const defaultStepCacheCap = 4096
 
 // CacheStats is a snapshot of one step cache's counters. Every lookup
 // lands in exactly one of Hits or Misses, so
@@ -80,10 +80,10 @@ type cacheNode struct {
 }
 
 // newStepCache builds a cache bounded to capacity entries (<= 0 means
-// DefaultStepCacheCap).
+// defaultStepCacheCap).
 func newStepCache(capacity int) *stepCache {
 	if capacity <= 0 {
-		capacity = DefaultStepCacheCap
+		capacity = defaultStepCacheCap
 	}
 	return &stepCache{
 		capacity: capacity,

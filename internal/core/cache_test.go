@@ -100,8 +100,8 @@ func TestStepCachePutExistingKey(t *testing.T) {
 // the default bound.
 func TestStepCacheDefaultCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
-		if got := newStepCache(capacity).stats().Capacity; got != DefaultStepCacheCap {
-			t.Fatalf("capacity %d -> %d, want %d", capacity, got, DefaultStepCacheCap)
+		if got := newStepCache(capacity).stats().Capacity; got != defaultStepCacheCap {
+			t.Fatalf("capacity %d -> %d, want %d", capacity, got, defaultStepCacheCap)
 		}
 	}
 }

@@ -63,10 +63,11 @@ type Config struct {
 
 	// SkipInvalidTraces degrades gracefully on corrupt corpora: a trace
 	// that fails Step 1 (unknown device, unpaired records, bad power
-	// input) is recorded in Report.Skipped and excluded instead of
-	// failing the whole batch. A production backend analyzing uploads
-	// from millions of devices sets this; the paper-reproduction
-	// experiments leave it off so generator bugs stay loud.
+	// input, a non-finite power estimate) is recorded in Report.Skipped
+	// and excluded instead of failing the whole batch. A production
+	// backend analyzing uploads from millions of devices sets this; the
+	// paper-reproduction experiments leave it off so generator bugs
+	// stay loud.
 	SkipInvalidTraces bool
 
 	// Devices resolves device profile names. Nil means the built-in

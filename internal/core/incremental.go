@@ -109,7 +109,7 @@ type IncrementalAnalyzer struct {
 
 // NewIncrementalAnalyzer validates the configuration and builds an
 // incremental analyzer whose Step-1 cache holds up to cacheCap bundles
-// (<= 0 means DefaultStepCacheCap).
+// (<= 0 means the default, 4096).
 func NewIncrementalAnalyzer(cfg Config, cacheCap int) (*IncrementalAnalyzer, error) {
 	a, err := NewAnalyzer(cfg)
 	if err != nil {
@@ -374,9 +374,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 
 // reportLocked is Report's body. Besides the report it returns the
 // analyzed entries in corpus order, parallel to report.Traces, which
-// ReportJSON encodes from; entries is nil when the report came from the
-// full-replay fallback, whose traces have no cached entries. Callers
-// hold ia.mu.
+// ReportJSON encodes from. Callers hold ia.mu.
 func (ia *IncrementalAnalyzer) reportLocked() (*Report, []*traceEntry, error) {
 	return ia.reportOnLocked(ia.takeIntake(true))
 }
@@ -396,13 +394,6 @@ func (ia *IncrementalAnalyzer) reportOnLocked(ops []pendingOp, live []string) (*
 		s1.End()
 		root.End()
 		return nil, nil, ErrNoTraces
-	}
-	if ia.cs.tainted > 0 {
-		// Non-finite powers cannot live in the summaries; replay the
-		// full batch finish so degenerate corpora keep the batch
-		// pipeline's exact error behavior.
-		report, err := ia.reportFullLocked(live, start, root, s1)
-		return report, nil, err
 	}
 	rec1 := s1.End()
 
@@ -487,8 +478,8 @@ func (ia *IncrementalAnalyzer) reportOnLocked(ops []pendingOp, live []string) (*
 		Skipped:        skipped,
 	}
 	for _, key := range live {
-		if b := ia.cs.entries[key].b; b.Event.AppID != "" {
-			report.AppID = b.Event.AppID
+		if app := ia.cs.entries[key].appID; app != "" {
+			report.AppID = app
 			break
 		}
 	}
@@ -575,71 +566,4 @@ func (ia *IncrementalAnalyzer) finishReportMetrics(start time.Time, corpus int) 
 		gIncHitRate.Set(1)
 	}
 	ia.fresh, ia.lookups, ia.hits = 0, 0, 0
-}
-
-// reportFullLocked is the full-replay fallback: Step 1 for the whole
-// corpus through the cache, then the batch finish — the executable spec
-// the sublinear path is differentially tested against. It serves
-// corpora the summaries cannot represent (non-finite Step-1 powers) so
-// their batch-identical error behavior is preserved.
-func (ia *IncrementalAnalyzer) reportFullLocked(live []string, start time.Time, root, s1 *obs.Span) (*Report, error) {
-	detail := ia.a.cfg.Tracer != nil
-	n := len(live)
-	bundles := make([]*trace.TraceBundle, n)
-	results := make([]stepOneResult, n)
-	var missing []int
-	for i, key := range live {
-		bundles[i] = ia.cs.entries[key].b
-		if res, ok := ia.cache.get(key); ok {
-			results[i] = res
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	ia.lookups += int64(n)
-	ia.hits += int64(n - len(missing))
-	ia.fresh += len(missing)
-	// Fresh Step-1 work only for cache misses; each miss writes its own
-	// slot, so the fan-out is deterministic under any worker count. The
-	// worker closure never returns an error — failures are captured per
-	// slot (and negatively cached) so the skip/fail decision below
-	// mirrors stepOneAll exactly.
-	_ = parallel.ForEach(ia.a.cfg.Parallelism, len(missing), func(j int) error {
-		if detail {
-			sp := s1.Child("step1.trace")
-			defer sp.End()
-		}
-		i := missing[j]
-		at, err := ia.a.estimateEvents(bundles[i])
-		results[i] = stepOneResult{at: at, err: err}
-		return nil
-	})
-	for _, i := range missing {
-		ia.cache.put(live[i], results[i])
-	}
-	rec1 := s1.End()
-
-	traces := make([]*AnalyzedTrace, 0, len(results))
-	var skipped []SkippedTrace
-	for i, res := range results {
-		switch {
-		case res.err == nil:
-			traces = append(traces, res.at.cloneStepOne())
-		case ia.a.cfg.SkipInvalidTraces:
-			skipped = append(skipped, SkippedTrace{
-				Index:   i,
-				TraceID: bundles[i].Event.TraceID,
-				Reason:  res.err.Error(),
-			})
-		default:
-			return nil, fmt.Errorf("trace %d (%s): %w", i, bundles[i].Event.TraceID, res.err)
-		}
-	}
-	report, err := ia.a.finish(bundles, traces, skipped, root, rec1)
-	if err != nil {
-		return nil, err
-	}
-	ia.lastRankDirty, ia.lastDetectDirty = len(traces), len(traces)
-	ia.finishReportMetrics(start, len(bundles))
-	return report, nil
 }

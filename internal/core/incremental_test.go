@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -358,19 +359,31 @@ func TestIncrementalSkipInvalidMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestReportJSONNonFiniteMatchesMarshal covers the tainted corpus: a
-// device profile with an infinite idle floor makes Step-1 powers
-// non-finite, which moves the analyzer onto the full-replay fallback.
-// ReportJSON must then return exactly what Report followed by
-// json.Marshal returns — the same error, or the same bytes — before and
-// after the tainted trace leaves the corpus.
+// TestReportJSONNonFiniteMatchesMarshal covers non-finite Step-1
+// estimates: a device profile with an infinite idle floor makes every
+// power estimated on it non-finite, which Step 1 rejects. Under
+// SkipInvalidTraces the trace is skipped like any other Step-1 failure,
+// and ReportJSON serves the batch report's bytes and digest before and
+// after the trace leaves the corpus. In strict mode batch and
+// incremental analysis fail with the same Step-1 error.
 func TestReportJSONNonFiniteMatchesMarshal(t *testing.T) {
 	pool := bundlePool(t, 6, 61)
 	devs := device.NewRegistry()
 	devs.Register(device.Profile{Name: "inf-floor", BaseMW: math.Inf(1)})
+	bad := *pool[0]
+	bad.Key = ""
+	bad.Event.TraceID += "-inf"
+	bad.Event.Device = "inf-floor"
+	withBad := append(append([]*trace.TraceBundle{}, pool...), &bad)
+	const reason = "step 1: non-finite power estimate for "
+
 	cfg := core.DefaultConfig()
 	cfg.Devices = devs
 	cfg.SkipInvalidTraces = true
+	batch, err := core.NewAnalyzer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inc, err := core.NewIncrementalAnalyzer(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -381,36 +394,53 @@ func TestReportJSONNonFiniteMatchesMarshal(t *testing.T) {
 	if _, _, err := inc.ReportJSON(); err != nil { // warm every fragment
 		t.Fatal(err)
 	}
-	bad := *pool[0]
-	bad.Key = ""
-	bad.Event.TraceID += "-inf"
-	bad.Event.Device = "inf-floor"
 	badKey, _ := inc.Add(&bad)
 
-	for _, phase := range []string{"tainted", "clean again"} {
-		want, wantErr := inc.Report()
-		var wantJSON []byte
-		if wantErr == nil {
-			wantJSON, wantErr = json.Marshal(want)
+	for _, phase := range []struct {
+		name   string
+		corpus []*trace.TraceBundle
+	}{{"non-finite trace in", withBad}, {"non-finite trace out", pool}} {
+		want, err := batch.Analyze(phase.corpus)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", phase.name, err)
 		}
-		rep, data, err := inc.ReportJSON()
-		switch {
-		case wantErr != nil:
-			if err == nil || err.Error() != wantErr.Error() || rep != nil || data != nil {
-				t.Fatalf("%s: ReportJSON = (%v, %v, %v), want error %v", phase, rep, data, err, wantErr)
-			}
-		default:
-			assertReportJSON(t, phase, rep, data, err, wantJSON)
+		rep, body, err := inc.ReportJSON()
+		assertReportJSON(t, phase.name, rep, body, err, reportJSON(t, want))
+		if body.Digest != encodeReport(t, want).Digest {
+			t.Fatalf("%s: ReportJSON's digest differs from the batch report's", phase.name)
 		}
-		if phase == "tainted" {
-			if st := inc.SummaryStats(); st.TaintedTraces != 1 {
-				t.Fatalf("tainted corpus reports %d tainted traces, want 1", st.TaintedTraces)
-			}
-			if wantErr == nil {
-				t.Fatal("a corpus with non-finite powers encoded without error; the case no longer exercises the error path")
+		if len(phase.corpus) == len(withBad) {
+			if len(rep.Skipped) != 1 || rep.Skipped[0].TraceID != bad.Event.TraceID || !strings.HasPrefix(rep.Skipped[0].Reason, reason) {
+				t.Fatalf("%s: skipped %+v, want only %s with a %q reason", phase.name, rep.Skipped, bad.Event.TraceID, reason)
 			}
 			inc.Remove(badKey)
+		} else if len(rep.Skipped) != 0 {
+			t.Fatalf("%s: skipped %+v, want none", phase.name, rep.Skipped)
 		}
+	}
+
+	cfg.SkipInvalidTraces = false
+	strictBatch, err := core.NewAnalyzer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strictInc, err := core.NewIncrementalAnalyzer(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range withBad {
+		strictInc.Add(b)
+	}
+	_, batchErr := strictBatch.Analyze(withBad)
+	if batchErr == nil || !strings.Contains(batchErr.Error(), reason) {
+		t.Fatalf("strict batch error %v, want a %q error", batchErr, reason)
+	}
+	if _, incErr := strictInc.Report(); incErr == nil || incErr.Error() != batchErr.Error() {
+		t.Fatalf("strict errors diverge:\nbatch:       %v\nincremental: %v", batchErr, incErr)
+	}
+	rep, body, jsonErr := strictInc.ReportJSON()
+	if rep != nil || body != nil || jsonErr == nil || jsonErr.Error() != batchErr.Error() {
+		t.Fatalf("strict ReportJSON = (%v, %v, %v), want (nil, nil, %v)", rep, body, jsonErr, batchErr)
 	}
 }
 

@@ -368,7 +368,8 @@ func (b *ReportBody) WriteTo(w io.Writer) (int64, error) {
 
 // EncodeReport encodes any report cold, through the same fragment
 // writer ReportJSON uses: the body holds json.Marshal(report)'s bytes,
-// and its Digest is what ReportJSON returns for an identical report.
+// and its Digest is what ReportJSON returns for an identical report,
+// which makes it the reference encoder tests compare ReportJSON with.
 // On an encoding error it returns json.Marshal's error. Every trace in
 // report.Traces must be non-nil.
 func EncodeReport(report *Report) (*ReportBody, error) {
@@ -399,8 +400,7 @@ func EncodeReport(report *Report) (*ReportBody, error) {
 // hashes the new trace, the re-ranked rank columns and the tails of
 // traces whose bases moved — not the whole corpus — and copies none of
 // the rest. Fragments are encoded under the analyzer lock; the envelope
-// and digest are built after releasing it. A corpus on the full-replay
-// fallback (non-finite Step-1 powers) is encoded cold by EncodeReport.
+// and digest are built after releasing it.
 //
 // The report and the body are read-only and shared: the body's
 // fragments are the analyzer's cached ones.
@@ -416,20 +416,12 @@ func (ia *IncrementalAnalyzer) ReportJSON() (*Report, *ReportBody, error) {
 	}
 	start := time.Now()
 	w := newFragmentWriter()
-	var frags []*fragment
-	if entries != nil {
-		frags, err = fragmentsLocked(w, entries, ia.a.cfg.Parallelism)
-	}
+	frags, err := fragmentsLocked(w, entries, ia.a.cfg.Parallelism)
 	ia.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	var body *ReportBody
-	if entries == nil {
-		body, err = EncodeReport(report)
-	} else {
-		body, err = w.body(report, frags)
-	}
+	body, err := w.body(report, frags)
 	hReportEncode.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return nil, nil, err

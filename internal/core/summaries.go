@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/stats/orderstat"
 	"repro/internal/trace"
 )
@@ -36,18 +34,16 @@ import (
 //     that shifts a key's multiset without moving its 10th percentile
 //     re-ranks but does not re-detect.
 //
-// Traces with non-finite Step-1 powers cannot enter the summaries
-// (orderstat rejects non-finite values by design); while any such trace
-// is in the corpus the analyzer falls back to the full finish path,
-// which reproduces the batch pipeline's error behavior exactly.
+// Every power that enters a summary is finite: orderstat rejects NaN
+// and Inf by design, and Step 1 (estimateEvents) fails a trace with a
+// non-finite estimate, so such a trace is skipped or fails the corpus
+// exactly as in the batch pipeline and never reaches Steps 2–5.
 
 // traceEntry is the applied per-trace state of the incremental corpus.
 type traceEntry struct {
 	key     string
 	traceID string
-	// b is the bundle as submitted: the AppID scan and the full-replay
-	// fallback read it.
-	b *trace.TraceBundle
+	appID   string // the bundle's, for the report's AppID scan
 	// err is the trace's terminal Step-1 error; when set the trace is
 	// skipped (or fails the corpus under strict mode) and the remaining
 	// fields stay zero.
@@ -79,9 +75,6 @@ type traceEntry struct {
 	// manifested mirrors len(at.Manifestations) > 0 as counted into
 	// corpusState.impactedTraces.
 	manifested bool
-	// nonFinite marks a trace whose Step-1 powers contain NaN/Inf; it
-	// taints the corpus onto the full-finish fallback path.
-	nonFinite bool
 
 	// head, rank and tail are the cached JSON fragments of at, each with
 	// its SHA-256, that ReportJSON builds report bodies from
@@ -109,8 +102,6 @@ type corpusState struct {
 
 	// impactedTraces counts applied traces with >= 1 manifestation.
 	impactedTraces int
-	// tainted counts applied traces with non-finite Step-1 powers.
-	tainted int
 
 	// touched/touchedAt dedupe the IDs hit by one mutation without a
 	// per-mutation map: touchedAt[id] == serial marks id as collected.
@@ -133,10 +124,6 @@ func (cs *corpusState) grow(k int) {
 		cs.impact = append(cs.impact, 0)
 		cs.touchedAt = append(cs.touchedAt, 0)
 	}
-}
-
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // applyAdd materializes the pending addition of key: Step 1 through the
@@ -163,22 +150,13 @@ func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
 		ia.cache.put(key, res)
 		ia.fresh++
 	}
-	e := &traceEntry{key: key, traceID: b.Event.TraceID, b: b}
+	e := &traceEntry{key: key, traceID: b.Event.TraceID, appID: b.Event.AppID}
 	cs.entries[key] = e
 	if res.err != nil {
 		e.err = res.err
 		return
 	}
 	e.at = res.at.cloneStepOne()
-	for i := range e.at.Events {
-		if !isFinite(e.at.Events[i].PowerMW) {
-			e.nonFinite = true
-		}
-	}
-	if e.nonFinite {
-		cs.tainted++
-		return
-	}
 	ia.a.ensureKeyIDs(e.at)
 	cs.grow(ia.a.keys.Len())
 	cs.serial++
@@ -191,7 +169,7 @@ func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
 		if cs.sums[id] == nil {
 			cs.sums[id] = &orderstat.Multiset{}
 		}
-		// Add cannot fail: the powers were just checked finite.
+		// Add cannot fail: Step 1 rejects non-finite estimates.
 		_ = cs.sums[id].Add(e.at.Events[i].PowerMW)
 	}
 	e.ids = append([]uint32(nil), cs.touched...)
@@ -220,10 +198,6 @@ func (ia *IncrementalAnalyzer) applyRemove(key string) {
 	}
 	delete(cs.entries, key)
 	if e.err != nil {
-		return
-	}
-	if e.nonFinite {
-		cs.tainted--
 		return
 	}
 	for i, id := range e.at.keyIDs {
@@ -421,9 +395,6 @@ type SummaryStats struct {
 	Bytes int `json:"bytes"`
 	// PendingMutations is the add/remove queue depth not yet applied.
 	PendingMutations int `json:"pendingMutations"`
-	// TaintedTraces counts applied traces with non-finite powers (the
-	// corpus analyzes via the full fallback path while > 0).
-	TaintedTraces int `json:"taintedTraces"`
 	// RankDirtyTraces / DetectDirtyTraces are the stale-trace counts
 	// recomputed by the most recent Report.
 	RankDirtyTraces   int `json:"rankDirtyTraces"`
@@ -442,7 +413,6 @@ func (ia *IncrementalAnalyzer) SummaryStats() SummaryStats {
 	ia.intake.Unlock()
 	ia.mu.Lock()
 	defer ia.mu.Unlock()
-	st.TaintedTraces = ia.cs.tainted
 	st.RankDirtyTraces, st.DetectDirtyTraces = ia.lastRankDirty, ia.lastDetectDirty
 	for _, s := range ia.cs.sums {
 		if s == nil {

@@ -12,10 +12,6 @@ type AnalyzeConfig struct {
 	// Core is the manifestation-analysis configuration (zero value:
 	// core.DefaultConfig).
 	Core core.Config
-	// CacheCap bounds the Step-1 cache (0 = core.DefaultStepCacheCap).
-	// The differential battery sets tiny caps to interleave eviction
-	// with version hops.
-	CacheCap int
 	// Revisit re-syncs the analyzer to v0 and back to vN after the
 	// forward walk — the bisect/revert access pattern. Bundles dropped
 	// mid-chain re-enter through the retained Step-1 cache, so this is
@@ -35,12 +31,16 @@ type Analyzer struct {
 }
 
 // NewAnalyzer builds a chain analyzer.
-func NewAnalyzer(cfg AnalyzeConfig) (*Analyzer, error) {
+func NewAnalyzer(cfg AnalyzeConfig) (*Analyzer, error) { return newAnalyzer(cfg, 0) }
+
+// newAnalyzer builds a chain analyzer whose Step-1 cache holds up to
+// cacheCap bundles (<= 0 means the core default).
+func newAnalyzer(cfg AnalyzeConfig, cacheCap int) (*Analyzer, error) {
 	var zero core.Config
 	if cfg.Core == zero {
 		cfg.Core = core.DefaultConfig()
 	}
-	inc, err := core.NewIncrementalAnalyzer(cfg.Core, cfg.CacheCap)
+	inc, err := core.NewIncrementalAnalyzer(cfg.Core, cacheCap)
 	if err != nil {
 		return nil, fmt.Errorf("revision: %w", err)
 	}

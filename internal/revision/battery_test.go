@@ -132,7 +132,7 @@ func TestDifferentialBattery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc, err := NewAnalyzer(AnalyzeConfig{CacheCap: tc.cacheCap})
+			inc, err := newAnalyzer(AnalyzeConfig{}, tc.cacheCap)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -466,7 +466,7 @@ func TestNotifyOffServiceLock(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			inc, err := core.NewIncrementalAnalyzer(svc.cfg.Analysis, svc.cfg.CacheCap)
+			inc, err := core.NewIncrementalAnalyzer(svc.cfg.Analysis, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -97,21 +97,12 @@ type Config struct {
 	// incremental analyzer runs with. SkipInvalidTraces is forced on:
 	// an online service must degrade per trace, never refuse a corpus.
 	Analysis core.Config
-	// CacheCap bounds each app's Step-1 LRU cache (<= 0 means
-	// core.DefaultStepCacheCap).
-	CacheCap int
 	// Debounce bounds each app's quiet period: how long a dirty app
 	// waits after its latest arrival before it is re-analyzed (default
 	// 500ms). The quiet period itself is the app's last flush cost, so a
 	// cheap app refreshes sooner; an app not yet flushed waits the full
 	// Debounce.
 	Debounce time.Duration
-	// HistoryCap bounds the per-app snapshot-history ring (default 32).
-	HistoryCap int
-	// StreamQueue bounds each SSE client's event queue (default 64).
-	// A full queue drops its oldest event rather than blocking the
-	// flush path; clients detect the gap from the event-ID sequence.
-	StreamQueue int
 	// Logger receives analysis outcomes (nil means slog.Default).
 	Logger *slog.Logger
 }
@@ -128,6 +119,12 @@ const (
 	topKeys = 5
 	// maxWait caps a report long-poll's ?wait= duration.
 	maxWait = 30 * time.Second
+	// historyCap bounds each app's snapshot-history ring, in versions.
+	historyCap = 32
+	// streamQueue bounds each SSE client's event queue. A full queue
+	// drops its oldest event rather than blocking the flush path;
+	// clients detect the gap from the event-ID sequence.
+	streamQueue = 64
 	// streamReplay bounds the hub's replay ring for Last-Event-ID
 	// resume, in events.
 	streamReplay = 256
@@ -138,12 +135,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Debounce <= 0 {
 		c.Debounce = 500 * time.Millisecond
-	}
-	if c.HistoryCap <= 0 {
-		c.HistoryCap = 32
-	}
-	if c.StreamQueue <= 0 {
-		c.StreamQueue = 64
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -194,7 +185,7 @@ type appState struct {
 	lastWall    time.Duration
 	analyses    int64
 	lastErr     string
-	history     []historyEntry // ring of the last HistoryCap versions
+	history     []historyEntry // ring of the last historyCap versions
 	waitCh      chan struct{}  // closed on install; wakes long-polls
 }
 
@@ -212,8 +203,9 @@ type historyEntry struct {
 // scheduler. Create with New, feed with Notify (typically wired as
 // collect.WithIngestHook), serve with Handler, stop with Close.
 type Service struct {
-	cfg Config
-	hub *hub
+	cfg        Config
+	hub        *hub
+	historyCap int
 
 	mu   sync.Mutex
 	apps map[string]*appState
@@ -242,18 +234,23 @@ type Service struct {
 
 // New builds a serving layer. The configuration is validated eagerly so
 // a bad analysis config fails at startup, not on first upload.
-func New(cfg Config) (*Service, error) {
+func New(cfg Config) (*Service, error) { return newSized(cfg, historyCap, streamQueue) }
+
+// newSized builds a serving layer whose apps keep history versions in
+// their rings and whose SSE clients queue up to queue events.
+func newSized(cfg Config, history, queue int) (*Service, error) {
 	cfg = cfg.withDefaults()
 	// Validate by constructing a throwaway analyzer.
-	if _, err := core.NewIncrementalAnalyzer(cfg.Analysis, cfg.CacheCap); err != nil {
+	if _, err := core.NewIncrementalAnalyzer(cfg.Analysis, 0); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Service{
-		cfg:   cfg,
-		hub:   newHub(streamReplay, cfg.StreamQueue),
-		apps:  make(map[string]*appState),
-		dirty: make(map[string]*appState),
-		wake:  make(chan struct{}, 1),
+		cfg:        cfg,
+		hub:        newHub(streamReplay, queue),
+		historyCap: history,
+		apps:       make(map[string]*appState),
+		dirty:      make(map[string]*appState),
+		wake:       make(chan struct{}, 1),
 	}
 	s.wg.Add(1)
 	go s.run()
@@ -405,7 +402,7 @@ func (s *Service) appLocked(app string) *appState {
 	}
 	st, ok := s.apps[app]
 	if !ok {
-		inc, err := core.NewIncrementalAnalyzer(s.cfg.Analysis, s.cfg.CacheCap)
+		inc, err := core.NewIncrementalAnalyzer(s.cfg.Analysis, 0)
 		if err != nil {
 			// New() validated the config; this cannot fail afterwards.
 			s.cfg.Logger.Error("serve: analyzer construction failed", "app", app, "err", err)
@@ -649,7 +646,7 @@ func (s *Service) installLocked(st *appState, report *core.Report, body *core.Re
 	st.etag = snap.ETag
 	st.summary = snap.Summary
 	entry := historyEntry{snap: snap, report: report}
-	if len(st.history) == s.cfg.HistoryCap {
+	if len(st.history) == s.historyCap {
 		copy(st.history, st.history[1:])
 		st.history[len(st.history)-1] = entry
 	} else {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -75,6 +77,73 @@ func TestServedReportMatchesBatch(t *testing.T) {
 	svc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/analysis/report?app=k9mail&format=text", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "EnergyDx diagnosis report for k9mail") {
 		t.Fatalf("text report wrong: status %d body %.120s", rr.Code, rr.Body.String())
+	}
+}
+
+// TestNonFiniteEstimateSkipped: a bundle on a device whose profile
+// yields non-finite power estimates is skipped at Step 1 like any
+// invalid trace. The flush that takes it, and the flushes after it,
+// install new versions whose bodies and ETags are batch's for the same
+// bundles, instead of failing and leaving the app on its old report.
+func TestNonFiniteEstimateSkipped(t *testing.T) {
+	pool := testCorpus(t, 6, 23)
+	clean, late := pool[:5], pool[5]
+	bad := *pool[0]
+	bad.Key = ""
+	bad.Event.TraceID += "-inf"
+	bad.Event.Device = "inf-floor"
+
+	cfg := core.DefaultConfig()
+	cfg.Devices = device.NewRegistry()
+	cfg.Devices.Register(device.Profile{Name: "inf-floor", BaseMW: math.Inf(1)})
+	svc, err := New(Config{Analysis: cfg, Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	cfg.SkipInvalidTraces = true
+	batch, err := core.NewAnalyzer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var served []*trace.TraceBundle
+	for version, arrivals := range [][]*trace.TraceBundle{clean, {&bad}, {late}} {
+		for _, b := range arrivals {
+			svc.Notify(b)
+		}
+		served = append(served, arrivals...)
+		svc.Flush()
+		row := appStatus(t, svc, "k9mail")
+		if row.Version != int64(version+1) || row.LastError != "" {
+			t.Fatalf("flush %d: version %d, last error %q; want version %d and no error", version+1, row.Version, row.LastError, version+1)
+		}
+
+		want, err := batch.Analyze(served)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if version > 0 {
+			if len(want.Skipped) != 1 || want.Skipped[0].TraceID != bad.Event.TraceID ||
+				!strings.HasPrefix(want.Skipped[0].Reason, "step 1: non-finite power estimate for ") {
+				t.Fatalf("flush %d: batch skipped %+v, want only %s for a non-finite Step-1 estimate", version+1, want.Skipped, bad.Event.TraceID)
+			}
+		}
+		rr := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/analysis/report?app=k9mail", nil))
+		if rr.Code != 200 {
+			t.Fatalf("flush %d: report status %d: %s", version+1, rr.Code, rr.Body.String())
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rr.Body.Bytes(), wantJSON) {
+			t.Fatalf("flush %d: served body differs from batch", version+1)
+		}
+		if got, wantTag := rr.Header().Get("ETag"), bodyETag(encodeReport(t, want)); got != wantTag {
+			t.Fatalf("flush %d: ETag %s, want batch's %s", version+1, got, wantTag)
+		}
 	}
 }
 

@@ -256,7 +256,7 @@ func TestSlowConsumerNeverBlocksPublish(t *testing.T) {
 // hub's locking discipline (no send-on-closed-channel, no data races).
 func TestStreamRace(t *testing.T) {
 	bundles := testCorpus(t, 8, 41)
-	svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour, StreamQueue: 2})
+	svc, err := newSized(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour}, historyCap, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +385,10 @@ func TestIngestToEventToReport(t *testing.T) {
 }
 
 // TestHistoryRing: /analysis/report/history returns the bounded ring of
-// snapshot summaries, oldest first, evicting beyond HistoryCap.
+// snapshot summaries, oldest first, evicting beyond the ring size.
 func TestHistoryRing(t *testing.T) {
 	bundles := testCorpus(t, 8, 47)
-	svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour, HistoryCap: 3})
+	svc, err := newSized(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour}, 3, streamQueue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestHistoryRing(t *testing.T) {
 // in-place write to a shared trace shows up here as a race under -race.
 func TestHistoryVersionsRace(t *testing.T) {
 	bundles := testCorpus(t, 8, 67)
-	svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour, HistoryCap: 6})
+	svc, err := newSized(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour}, 6, streamQueue)
 	if err != nil {
 		t.Fatal(err)
 	}
