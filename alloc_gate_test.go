@@ -150,6 +150,11 @@ func gatedBenchmarks(t *testing.T) map[string]allocEntry {
 				}
 			}
 		},
+		"trace/content-key": func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				trace.ContentKey(corpus.Bundles[0])
+			}
+		},
 		"codec/readtext": func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := trace.ReadText(strings.NewReader(text)); err != nil {

@@ -159,8 +159,8 @@ func (sh *shard) ingest(payload []byte) (key string, stored *trace.TraceBundle, 
 	}
 	// The binary codec is a pure serialization layer and will carry
 	// NaN/Inf utilization bit patterns (JSON structurally cannot), but
-	// the content-key hash goes through JSON — reject non-finite floats
-	// here so a hostile frame cannot reach it.
+	// the content key hashes canonical JSON, which has no form for them
+	// — reject non-finite floats here so a hostile frame cannot reach it.
 	for i := range b.Util.Samples {
 		for _, v := range b.Util.Samples[i].Util {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

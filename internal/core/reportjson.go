@@ -7,10 +7,10 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Report encoding from cached per-trace fragments. A served report is
@@ -115,38 +115,10 @@ func (w *fragmentWriter) floats(k string, xs []float64) error {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONFloat(b, x)
+		b = trace.AppendJSONFloat(b, x)
 	}
 	w.buf.Write(append(b, ']'))
 	return nil
-}
-
-// appendJSONFloat appends the finite f as encoding/json encodes a
-// float64: shortest round-trip digits, in exponent form below 1e-6 and
-// from 1e21, with a one-digit negative exponent not zero-padded. Whole
-// and half numbers from 1 to 2^52, which every Step-2 rank is, skip the
-// shortest-digits search: their shortest form is the integer part and
-// a possible ".5".
-func appendJSONFloat(b []byte, f float64) []byte {
-	if f >= 1 && f < 1<<52 {
-		i := int64(f)
-		switch float64(i) {
-		case f:
-			return strconv.AppendInt(b, i, 10)
-		case f - 0.5:
-			return append(strconv.AppendInt(b, i, 10), ".5"...)
-		}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-07 -> e-7
-		b = b[:n-1]
-	}
-	return b
 }
 
 // fragment is one encoded piece of a report body with the SHA-256 of

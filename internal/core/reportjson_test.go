@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestReportJSONFieldList pins the fragment writer's hand-written field
@@ -196,8 +198,8 @@ func TestFloatColumnsMatchMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONFloat(nil, x); !bytes.Equal(got, want) {
-			t.Fatalf("appendJSONFloat(%v) = %s, json.Marshal = %s", x, got, want)
+		if got := trace.AppendJSONFloat(nil, x); !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSONFloat(%v) = %s, json.Marshal = %s", x, got, want)
 		}
 	}
 	for _, col := range [][]float64{finite, nil, {}, {1, math.NaN()}, {math.Inf(-1)}} {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -331,49 +330,4 @@ func DecodeBundle(r io.Reader) (*TraceBundle, error) {
 		return nil, fmt.Errorf("decode bundle: %w", err)
 	}
 	return &b, nil
-}
-
-// ContentKey computes the bundle's canonical content hash: 64-bit
-// FNV-1a over the canonical JSON serialization with the Key field
-// cleared. Clients stamp it into Bundle.Key before uploading; because
-// the hash covers the content, it serves two purposes at once:
-//
-//   - idempotency: a retry after a lost ack carries the same key, so
-//     the server stores the bundle exactly once, and
-//   - integrity: any in-flight mutation that changes the decoded
-//     content changes the recomputed hash, so the server can detect a
-//     corrupted line even when it still parses as valid JSON.
-func ContentKey(b *TraceBundle) string {
-	c := *b // shallow copy: only Key is modified, slices are shared read-only
-	c.Key = ""
-	data, err := json.Marshal(&c)
-	if err != nil {
-		// TraceBundle contains no unmarshalable types; keep the
-		// signature ergonomic and make failures loud if that changes.
-		panic(fmt.Sprintf("trace: marshal bundle: %v", err))
-	}
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, by := range data {
-		h ^= uint64(by)
-		h *= prime
-	}
-	return fmt.Sprintf("%016x", h)
-}
-
-// VerifyContentKey checks a bundle's stamped Key against its content.
-// The key is an uploaded bundle's identity for dedup and storage, so a
-// bundle without one fails; a stamped key that no longer matches the
-// content means the bundle was altered in flight.
-func VerifyContentKey(b *TraceBundle) error {
-	if b.Key == "" {
-		return errors.New("trace: bundle has no content key")
-	}
-	if got := ContentKey(b); got != b.Key {
-		return fmt.Errorf("trace: content key mismatch: stamped %s, content hashes to %s", b.Key, got)
-	}
-	return nil
 }

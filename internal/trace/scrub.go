@@ -26,10 +26,24 @@ const redacted = "<redacted>"
 // ScrubString removes IP addresses, phone numbers and email addresses
 // from a free-form string.
 func ScrubString(s string) string {
+	if !mayHoldPII(s) {
+		return s
+	}
 	s = reEmail.ReplaceAllString(s, redacted)
 	s = reIPv4.ReplaceAllString(s, redacted)
 	s = rePhone.ReplaceAllString(s, redacted)
 	return s
+}
+
+// mayHoldPII reports whether any of ScrubString's patterns can match
+// s: each needs an ASCII digit or an "@".
+func mayHoldPII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '@' || '0' <= c && c <= '9' {
+			return true
+		}
+	}
+	return false
 }
 
 // ScrubUserID replaces a raw user identifier with a stable pseudonym so
@@ -84,9 +98,23 @@ func ScrubBundle(b *TraceBundle) *TraceBundle {
 			Samples:  make([]UtilizationSample, len(b.Util.Samples)),
 		},
 	}
+	// A bundle's records repeat a few event keys many times over, so
+	// each distinct string is scrubbed once.
+	memo := make(map[string]string)
+	scrub := func(s string) string {
+		if !mayHoldPII(s) {
+			return s
+		}
+		v, ok := memo[s]
+		if !ok {
+			v = ScrubString(s)
+			memo[s] = v
+		}
+		return v
+	}
 	for i, r := range b.Event.Records {
-		r.Key.Class = ScrubString(r.Key.Class)
-		r.Key.Callback = ScrubString(r.Key.Callback)
+		r.Key.Class = scrub(r.Key.Class)
+		r.Key.Callback = scrub(r.Key.Callback)
 		out.Event.Records[i] = r
 	}
 	copy(out.Util.Samples, b.Util.Samples)

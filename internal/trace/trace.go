@@ -208,7 +208,9 @@ type TraceBundle struct {
 	// Key is the idempotent upload key: the bundle's content hash
 	// (ContentKey), stamped by the uploading client. The server dedupes
 	// re-uploads by it and rejects bundles whose content no longer
-	// matches (in-flight corruption). Empty for legacy uploaders.
+	// matches (in-flight corruption) or that carry no key. Empty on
+	// bundles never uploaded (generated corpora, batch input), which
+	// core.bundleKey hashes on demand.
 	Key   string           `json:"key,omitempty"`
 	Event EventTrace       `json:"event"`
 	Util  UtilizationTrace `json:"util"`
