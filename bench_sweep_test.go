@@ -403,9 +403,9 @@ func sweepCorpus(tb testing.TB, users int) []*trace.TraceBundle {
 // of each size and fits growth exponents across sizes:
 //
 //   - reanalyze-after-add/sublinear/N: Add + Refresh + Remove + Refresh —
-//     pure summary maintenance, the O(E log N) ingest path. The new
-//     bundle's own diagnosis (Steps 2-4) is complete when Refresh
-//     returns; no corpus-wide report is materialized.
+//     pure summary maintenance, the O(E log N) ingest path. No trace is
+//     ranked or detected, the new one included (the next report does
+//     that), and no corpus-wide report is materialized.
 //   - reanalyze-after-add/incremental/N: Add + Report + (untimed-free)
 //     Remove + Refresh — the full re-analysis a serving layer runs to
 //     publish a refreshed report, which is Ω(N) because the report

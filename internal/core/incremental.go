@@ -203,9 +203,10 @@ func (ia *IncrementalAnalyzer) applyOps(ops []pendingOp) {
 }
 
 // Refresh applies all pending corpus mutations to the per-key summaries
-// without producing a report: O(E log N) per mutation. Ingest paths
-// that want bounded-latency adds call Add then Refresh; paths that only
-// care about the next Report can skip it (Report refreshes first).
+// and bases without producing a report: O(E log N) per mutation. It is
+// summary maintenance only; no trace is ranked or detected until the
+// next Report, which refreshes new and stale traces alike (and applies
+// any pending mutations itself, so calling Refresh first is optional).
 func (ia *IncrementalAnalyzer) Refresh() {
 	ia.mu.Lock()
 	defer ia.mu.Unlock()

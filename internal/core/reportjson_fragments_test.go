@@ -70,11 +70,11 @@ func TestReportJSONEncodesOnlyChangedFragments(t *testing.T) {
 		if h != 1 {
 			t.Fatalf("add %d: encoded %v head fragments, want exactly 1", i, h)
 		}
-		if want := float64(1 + st.RankDirtyTraces); r != want {
-			t.Fatalf("add %d: encoded %v rank fragments, want %v (the new trace plus %d re-ranked)", i, r, want, st.RankDirtyTraces)
+		if want := float64(st.RankDirtyTraces); r != want {
+			t.Fatalf("add %d: encoded %v rank fragments, want %v (the re-ranked traces, the new one among them)", i, r, want)
 		}
-		if want := float64(1 + st.DetectDirtyTraces); tl != want {
-			t.Fatalf("add %d: encoded %v tail fragments, want %v (the new trace plus %d re-detected)", i, tl, want, st.DetectDirtyTraces)
+		if want := float64(st.DetectDirtyTraces); tl != want {
+			t.Fatalf("add %d: encoded %v tail fragments, want %v (the re-detected traces, the new one among them)", i, tl, want)
 		}
 	}
 
@@ -106,11 +106,11 @@ func TestReportJSONEncodesOnlyChangedFragments(t *testing.T) {
 	encode("copies")
 	addCopy(8)
 	h, r, tl, st = encode("one more copy")
-	if st.DetectDirtyTraces != 0 {
-		t.Fatalf("one more copy moved a base (%d traces re-detected); the no-tail case is untested", st.DetectDirtyTraces)
+	if st.DetectDirtyTraces != 1 {
+		t.Fatalf("one more copy moved a base (%d traces re-detected, the new one among them); the no-tail case is untested", st.DetectDirtyTraces)
 	}
-	if h != 1 || tl != 1 || r != float64(1+st.RankDirtyTraces) {
-		t.Fatalf("one more copy encoded %v heads, %v ranks, %v tails; want 1, %d, 1", h, r, tl, 1+st.RankDirtyTraces)
+	if h != 1 || tl != 1 || r != float64(st.RankDirtyTraces) {
+		t.Fatalf("one more copy encoded %v heads, %v ranks, %v tails; want 1, %d, 1", h, r, tl, st.RankDirtyTraces)
 	}
 }
 

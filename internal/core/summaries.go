@@ -23,6 +23,8 @@ import (
 //
 // Dirty-set propagation rules:
 //
+//   - A new trace has no stamps, so the next Report ranks and detects
+//     it with the stale traces; a mutation refreshes only summaries.
 //   - A trace's Rank column depends on the full power multiset of every
 //     key it contains. Each key carries msetEpoch, bumped on any
 //     add/remove touching its multiset; a trace whose per-key rank
@@ -64,10 +66,10 @@ type traceEntry struct {
 	// the stamp vectors below are indexed parallel to it.
 	ids []uint32
 	// rankStamp[j] is msetEpoch[ids[j]] as of the last rank refresh;
-	// nil (or short) means rank-stale.
+	// nil means never ranked.
 	rankStamp []uint64
 	// baseStamp[j] is baseEpoch[ids[j]] as of the last successful
-	// detect refresh; nil (or short) means detect-stale.
+	// detect refresh; nil means never detected.
 	baseStamp []uint64
 	// contributed are the windowIDs currently counted into
 	// corpusState.impact for this trace.
@@ -127,11 +129,10 @@ func (cs *corpusState) grow(k int) {
 }
 
 // applyAdd materializes the pending addition of key: Step 1 through the
-// content-keyed cache, per-key summary insertion for every event power,
-// base refresh for the touched keys, and an eager rank+detect refresh of
-// the new trace itself (its vectors are fully determined by the
-// post-mutation summaries, so computing them now keeps Report's dirty
-// scan from always finding at least one stale trace).
+// content-keyed cache, per-key summary insertion for every event power
+// and base refresh for the touched keys. The new trace's own Steps 2–4
+// are left to the next Report: its nil stamps make it rank- and
+// detect-stale, so it is refreshed with every other stale trace.
 func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
 	cs := ia.cs
 	if _, ok := cs.entries[key]; ok {
@@ -176,14 +177,6 @@ func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
 	for _, id := range e.ids {
 		cs.msetEpoch[id]++
 		ia.updateBase(id)
-	}
-	ia.refreshRanks(e)
-	ia.a.normalize(e.writable(), cs.base)
-	// A detect failure here is deliberately not folded: the entry stays
-	// detect-stale, so the next Report recomputes it in corpus order and
-	// surfaces the error exactly where the batch pipeline would.
-	if ia.a.detect(e.writable()) == nil {
-		ia.foldDetect(e)
 	}
 }
 
@@ -238,10 +231,12 @@ func (ia *IncrementalAnalyzer) updateBase(id uint32) {
 	}
 }
 
-// rankStale reports whether any key multiset this trace ranks against
-// changed since its last rank refresh.
+// rankStale reports whether the trace was never ranked or any key
+// multiset it ranks against changed since its last rank refresh. A new
+// trace is stale by its nil stamps, not by a length mismatch: a trace
+// without events has as many stamps as ids (none) either way.
 func (e *traceEntry) rankStale(cs *corpusState) bool {
-	if len(e.rankStamp) != len(e.ids) {
+	if e.rankStamp == nil {
 		return true
 	}
 	for j, id := range e.ids {
@@ -252,10 +247,11 @@ func (e *traceEntry) rankStale(cs *corpusState) bool {
 	return false
 }
 
-// baseStale reports whether any base power this trace normalizes
-// against changed since its last successful detect refresh.
+// baseStale reports whether the trace was never detected or any base
+// power it normalizes against changed since its last successful detect
+// refresh (nil stamps as in rankStale).
 func (e *traceEntry) baseStale(cs *corpusState) bool {
-	if len(e.baseStamp) != len(e.ids) {
+	if e.baseStamp == nil {
 		return true
 	}
 	for j, id := range e.ids {
@@ -297,10 +293,9 @@ func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 		}
 		at.Rank[i] = fr
 	}
-	if cap(e.rankStamp) < len(e.ids) {
-		e.rankStamp = make([]uint64, len(e.ids))
+	if e.rankStamp == nil {
+		e.rankStamp = make([]uint64, len(e.ids)) // non-nil even when empty
 	}
-	e.rankStamp = e.rankStamp[:len(e.ids)]
 	for j, id := range e.ids {
 		e.rankStamp[j] = cs.msetEpoch[id]
 	}
@@ -369,10 +364,9 @@ func (ia *IncrementalAnalyzer) foldDetect(e *traceEntry) {
 		}
 		e.manifested = man
 	}
-	if cap(e.baseStamp) < len(e.ids) {
-		e.baseStamp = make([]uint64, len(e.ids))
+	if e.baseStamp == nil {
+		e.baseStamp = make([]uint64, len(e.ids)) // non-nil even when empty
 	}
-	e.baseStamp = e.baseStamp[:len(e.ids)]
 	for j, id := range e.ids {
 		e.baseStamp[j] = cs.baseEpoch[id]
 	}
@@ -396,7 +390,8 @@ type SummaryStats struct {
 	// PendingMutations is the add/remove queue depth not yet applied.
 	PendingMutations int `json:"pendingMutations"`
 	// RankDirtyTraces / DetectDirtyTraces are the stale-trace counts
-	// recomputed by the most recent Report.
+	// recomputed by the most recent Report, traces added since the
+	// previous Report among them.
 	RankDirtyTraces   int `json:"rankDirtyTraces"`
 	DetectDirtyTraces int `json:"detectDirtyTraces"`
 }

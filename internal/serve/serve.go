@@ -176,17 +176,16 @@ type appState struct {
 	lastArrival time.Time        // latest un-analyzed arrival: quiet-period deadline
 	cost        time.Duration    // last flush, ReportJSON through install (0: none yet)
 	flushedAt   time.Time        // when the last flush finished
-	report      *core.Report     // latest successful analysis (read-only, shared)
-	body        *core.ReportBody // its encoded form, served verbatim (shared)
-	version     int64            // bumps on every successful install
-	etag        string           // strong ETag: cut from body.Digest
-	summary     core.ReportSummary
-	analyzedAt  time.Time
-	lastWall    time.Duration
-	analyses    int64
-	lastErr     string
-	history     []historyEntry // ring of the last historyCap versions
-	waitCh      chan struct{}  // closed on install; wakes long-polls
+	body        *core.ReportBody // the installed report's encoded form, served verbatim (shared)
+	// analyzedAt, lastWall, analyses and lastErr describe the latest
+	// analysis attempt, failed or not; the installed version is the
+	// newest history entry (current).
+	analyzedAt time.Time
+	lastWall   time.Duration
+	analyses   int64
+	lastErr    string
+	history    []historyEntry // ring of the last historyCap versions
+	waitCh     chan struct{}  // closed on install; wakes long-polls
 }
 
 // historyEntry is one retained report version: the snapshot metadata
@@ -195,8 +194,19 @@ type appState struct {
 // report shares its unchanged traces with its neighbours in the ring,
 // so retaining a version costs only the traces it re-analyzed.
 type historyEntry struct {
-	snap   Snapshot
-	report *core.Report
+	snap       Snapshot
+	report     *core.Report
+	analyzedAt time.Time // snap.AnalyzedAt, unformatted
+}
+
+// current returns the app's installed version: the newest entry of its
+// history ring, which holds at least one version from the first install
+// on. ok is false before that. Callers hold s.mu.
+func (st *appState) current() (e historyEntry, ok bool) {
+	if len(st.history) == 0 {
+		return historyEntry{}, false
+	}
+	return st.history[len(st.history)-1], true
 }
 
 // Service owns the per-app incremental analyzers and the per-app flush
@@ -273,7 +283,7 @@ func newSized(cfg Config, history, queue int) (*Service, error) {
 	obs.Default.GaugeFunc("analysis_summary_bytes", "retained per-key summary memory across all apps", func() float64 {
 		return s.metricsSnap().summaryBytes
 	})
-	obs.Default.GaugeFunc("analysis_dirty_traces", "traces re-ranked by the most recent incremental re-analyses across all apps", func() float64 {
+	obs.Default.GaugeFunc("analysis_dirty_traces", "traces re-ranked by the most recent incremental re-analyses across all apps, new traces included", func() float64 {
 		return s.metricsSnap().dirtyTraces
 	})
 	return s, nil
@@ -309,9 +319,9 @@ func (s *Service) metricsSnap() fleetSnap {
 	s.mu.Lock()
 	fs.apps, fs.dirty = len(s.apps), len(s.dirty)
 	for _, st := range s.dirty {
-		ref := st.analyzedAt
-		if ref.IsZero() {
-			ref = st.dirtySince
+		ref := st.dirtySince
+		if cur, ok := st.current(); ok {
+			ref = cur.analyzedAt
 		}
 		if age := now.Sub(ref).Seconds(); age > fs.staleness {
 			fs.staleness = age
@@ -596,15 +606,20 @@ func (s *Service) flushApp(app string, st *appState) {
 	mAnalyses.Inc()
 	hAnalysis.Observe(wall.Seconds())
 	cs := st.inc.CacheStats()
-	var snap Snapshot
+	var entry historyEntry
 	if err == nil {
-		snap = Snapshot{
-			ETag:       bodyETag(body),
-			AnalyzedAt: analyzedAt.UTC().Format(time.RFC3339Nano),
-			WallMillis: float64(wall) / float64(time.Millisecond),
-			Summary:    report.Summarize(topKeys),
+		entry = historyEntry{
+			snap: Snapshot{
+				ETag:       bodyETag(body),
+				AnalyzedAt: analyzedAt.UTC().Format(time.RFC3339Nano),
+				WallMillis: float64(wall) / float64(time.Millisecond),
+				Summary:    report.Summarize(topKeys),
+			},
+			report:     report,
+			analyzedAt: analyzedAt,
 		}
 	}
+	var snap Snapshot
 	s.mu.Lock()
 	st.analyses++
 	st.analyzedAt = analyzedAt
@@ -613,7 +628,7 @@ func (s *Service) flushApp(app string, st *appState) {
 		st.lastErr = err.Error()
 	} else {
 		st.lastErr = ""
-		snap = s.installLocked(st, report, body, snap)
+		snap = s.installLocked(st, body, entry)
 	}
 	st.flushedAt = time.Now()
 	st.cost = st.flushedAt.Sub(start)
@@ -634,18 +649,15 @@ func (s *Service) flushApp(app string, st *appState) {
 }
 
 // installLocked stores a freshly analyzed report as the app's current
-// snapshot. snap arrives with everything but the version filled in;
-// installLocked only swaps pointers, bumps the version, appends to the
-// history ring and wakes long-polls, and returns the completed
-// snapshot. Callers hold s.mu; flushMu orders each app's installs.
-func (s *Service) installLocked(st *appState, report *core.Report, body *core.ReportBody, snap Snapshot) Snapshot {
-	st.version++
-	snap.Version = st.version
-	st.report = report
+// snapshot. entry arrives with everything but the version filled in;
+// installLocked only numbers it one past the current version, appends
+// it to the history ring, swaps in body and wakes long-polls, and
+// returns the completed snapshot. Callers hold s.mu; flushMu orders
+// each app's installs.
+func (s *Service) installLocked(st *appState, body *core.ReportBody, entry historyEntry) Snapshot {
+	cur, _ := st.current()
+	entry.snap.Version = cur.snap.Version + 1
 	st.body = body
-	st.etag = snap.ETag
-	st.summary = snap.Summary
-	entry := historyEntry{snap: snap, report: report}
 	if len(st.history) == s.historyCap {
 		copy(st.history, st.history[1:])
 		st.history[len(st.history)-1] = entry
@@ -656,7 +668,7 @@ func (s *Service) installLocked(st *appState, report *core.Report, body *core.Re
 		close(st.waitCh)
 		st.waitCh = nil
 	}
-	return snap
+	return entry.snap
 }
 
 // Close stops the scheduler, waits for an in-flight flush pass, wakes
@@ -710,17 +722,18 @@ type AppStatus struct {
 // leaving the analyzer's own stats (Traces, Cache, Summaries) to the
 // caller. Callers hold s.mu.
 func (s *Service) statusLocked(app string, st *appState) AppStatus {
+	cur, _ := st.current()
 	row := AppStatus{
 		App:            app,
-		Version:        st.version,
-		ETag:           st.etag,
+		Version:        cur.snap.Version,
+		ETag:           cur.snap.ETag,
 		Dirty:          s.dirty[app] != nil,
 		Analyses:       st.analyses,
 		LastAnalysisMS: float64(st.lastWall) / float64(time.Millisecond),
 		FlushCostMS:    float64(st.cost) / float64(time.Millisecond),
 		QuietPeriodMS:  float64(s.quiet(st)) / float64(time.Millisecond),
 		LastError:      st.lastErr,
-		Summary:        st.summary,
+		Summary:        cur.snap.Summary,
 	}
 	if !st.analyzedAt.IsZero() {
 		row.AnalyzedAt = st.analyzedAt.UTC().Format(time.RFC3339Nano)
@@ -748,11 +761,13 @@ func (s *Service) Statuses() []AppStatus {
 	return out
 }
 
-// AppReport returns the app's current report with its snapshot
-// metadata. ok is false when the app is unknown; a tracked-but-not-yet-
-// analyzed app returns ok with a nil report. Callers must treat the
-// report as read-only — it is the same object served over HTTP, shared
-// across readers, with the history ring and with the analyzer.
+// AppReport returns the app's installed report with that version's own
+// snapshot metadata, exactly as History lists it; a later failed
+// analysis changes neither. ok is false when the app is unknown; a
+// tracked-but-not-yet-analyzed app returns ok with a nil report.
+// Callers must treat the report as read-only — it is the same object
+// served over HTTP, shared across readers, with the history ring and
+// with the analyzer.
 func (s *Service) AppReport(app string) (report *core.Report, snap Snapshot, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -760,17 +775,8 @@ func (s *Service) AppReport(app string) (report *core.Report, snap Snapshot, ok 
 	if !ok {
 		return nil, Snapshot{}, false
 	}
-	if st.body == nil {
-		return nil, Snapshot{}, true
-	}
-	snap = Snapshot{
-		Version:    st.version,
-		ETag:       st.etag,
-		AnalyzedAt: st.analyzedAt.UTC().Format(time.RFC3339Nano),
-		WallMillis: float64(st.lastWall) / float64(time.Millisecond),
-		Summary:    st.summary,
-	}
-	return st.report, snap, true
+	cur, _ := st.current()
+	return cur.report, cur.snap, true
 }
 
 // History returns the app's snapshot-history ring, oldest first.
@@ -905,10 +911,13 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 	// Fresh means the client already holds the current snapshot: its
 	// ETag validates or its reported version is current. A stale client
 	// is answered immediately; a fresh one parks when it asked to wait.
-	fresh := st.body != nil &&
-		(etagMatches(req, st.etag) || (clientVer > 0 && clientVer >= st.version))
-	needsWait := wait > 0 && (st.body == nil || fresh)
-	if needsWait {
+	cur, installed := st.current()
+	isFresh := func() bool {
+		return installed &&
+			(etagMatches(req, cur.snap.ETag) || (clientVer > 0 && clientVer >= cur.snap.Version))
+	}
+	fresh := isFresh()
+	if wait > 0 && (!installed || fresh) {
 		if st.waitCh == nil {
 			st.waitCh = make(chan struct{})
 		}
@@ -925,21 +934,19 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 		}
 		s.mu.Lock()
 		// Re-evaluate against whatever is installed now.
-		fresh = st.body != nil &&
-			(etagMatches(req, st.etag) || (clientVer > 0 && clientVer >= st.version))
+		cur, installed = st.current()
+		fresh = isFresh()
 	}
-
-	body, report := st.body, st.report
-	etag, version := st.etag, st.version
+	body := st.body
 	s.mu.Unlock()
 
-	if body == nil {
+	if !installed {
 		// Tracked but not yet analyzed (inside the debounce window).
 		http.Error(w, "no analysis yet for "+app+"; retry shortly or POST /analysis/flush", http.StatusServiceUnavailable)
 		return
 	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("X-Analysis-Version", strconv.FormatInt(version, 10))
+	w.Header().Set("ETag", cur.snap.ETag)
+	w.Header().Set("X-Analysis-Version", strconv.FormatInt(cur.snap.Version, 10))
 	if fresh {
 		mNotMod.Inc()
 		w.WriteHeader(http.StatusNotModified)
@@ -947,7 +954,7 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 	}
 	if q.Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = report.WriteText(w)
+		_ = cur.report.WriteText(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

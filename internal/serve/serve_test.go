@@ -147,6 +147,55 @@ func TestNonFiniteEstimateSkipped(t *testing.T) {
 	}
 }
 
+// TestAppReportKeepsInstalledSnapshot: a failed flush leaves the
+// installed version as it was. AppReport returns that version's own
+// snapshot, equal to its History entry, and the staleness gauge ages
+// the installed version, not the failed attempt.
+func TestAppReportKeepsInstalledSnapshot(t *testing.T) {
+	bundles := testCorpus(t, 4, 31)
+	svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, b := range bundles {
+		svc.Notify(b)
+	}
+	svc.Flush()
+	installed, _, _ := svc.AppReport("k9mail")
+	if installed == nil {
+		t.Fatal("no report installed after the first flush")
+	}
+
+	// Let the installed version age, then make the next flush fail.
+	const aged = 20 * time.Millisecond
+	time.Sleep(aged)
+	if _, removed := svc.SyncCorpus("k9mail", nil); removed != len(bundles) {
+		t.Fatalf("retracted %d bundles, want %d", removed, len(bundles))
+	}
+	svc.Flush()
+	if row := appStatus(t, svc, "k9mail"); row.LastError == "" || row.Analyses != 2 {
+		t.Fatalf("analyses %d, last error %q; want a failed second analysis", row.Analyses, row.LastError)
+	}
+
+	report, snap, ok := svc.AppReport("k9mail")
+	history, _ := svc.History("k9mail")
+	if !ok || report != installed || len(history) != 1 {
+		t.Fatalf("after a failed flush: ok %v, same report %v, %d versions; want the first version still installed", ok, report == installed, len(history))
+	}
+	if want := history[0]; snap.Version != want.Version || snap.ETag != want.ETag ||
+		snap.AnalyzedAt != want.AnalyzedAt || snap.WallMillis != want.WallMillis {
+		t.Fatalf("AppReport snapshot v%d at %s (wall %.3f ms), History has v%d at %s (wall %.3f ms)",
+			snap.Version, snap.AnalyzedAt, snap.WallMillis, want.Version, want.AnalyzedAt, want.WallMillis)
+	}
+
+	svc.Notify(bundles[0])
+	svc.invalidateMetricsSnap()
+	if age := svc.metricsSnap().staleness; age < aged.Seconds() {
+		t.Fatalf("staleness %.4fs; want the installed version's age, at least %.4fs", age, aged.Seconds())
+	}
+}
+
 // TestDebounceCoalescesBursts: a burst of arrivals triggers one
 // re-analysis, not one per bundle.
 func TestDebounceCoalescesBursts(t *testing.T) {

@@ -75,10 +75,11 @@ func (s *Service) WhatIf(app string, p WhatIfParams) (report *core.Report, cfg c
 	return report, cfg, true, nil
 }
 
-// parseWhatIfQuery decodes the what-if override parameters shared by
-// the JSON endpoint and the dashboard form: window, fence, norm,
-// impacted. Absent or empty parameters inherit the serving config.
-func parseWhatIfQuery(get func(string) string) (WhatIfParams, error) {
+// ParseWhatIfParams decodes what-if overrides from query-style getters:
+// window, fence, norm, impacted. Absent or empty parameters inherit the
+// serving config. The JSON endpoint and the dashboard form both parse
+// with it, so both accept identical parameters.
+func ParseWhatIfParams(get func(string) string) (WhatIfParams, error) {
 	var p WhatIfParams
 	if v := get("window"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -111,13 +112,6 @@ func parseWhatIfQuery(get func(string) string) (WhatIfParams, error) {
 	return p, nil
 }
 
-// ParseWhatIfParams decodes what-if overrides from query-style getters
-// (window, fence, norm, impacted) — exported for the dashboard's form
-// handler so both surfaces accept identical parameters.
-func ParseWhatIfParams(get func(string) string) (WhatIfParams, error) {
-	return parseWhatIfQuery(get)
-}
-
 // serveWhatIf is the GET /analysis/whatif endpoint: the app's current
 // corpus re-analyzed under ?window=&fence=&norm=&impacted= overrides,
 // returned as JSON with an X-WhatIf marker header. Serving state is
@@ -133,7 +127,7 @@ func (s *Service) serveWhatIf(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "missing ?app= parameter", http.StatusBadRequest)
 		return
 	}
-	params, err := parseWhatIfQuery(q.Get)
+	params, err := ParseWhatIfParams(q.Get)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -35,7 +35,8 @@ func TestWhatIfIsolation(t *testing.T) {
 	svc.mu.Lock()
 	st := svc.apps["k9mail"]
 	sumBefore := st.inc.SummaryStats()
-	verBefore, etagBefore := st.version, st.etag
+	curBefore, _ := st.current()
+	verBefore, etagBefore := curBefore.snap.Version, curBefore.snap.ETag
 	svc.mu.Unlock()
 
 	// A spread of overrides, including ones that change the outcome.
@@ -64,7 +65,8 @@ func TestWhatIfIsolation(t *testing.T) {
 	}
 	svc.mu.Lock()
 	sumAfter := st.inc.SummaryStats()
-	verAfter, etagAfter := st.version, st.etag
+	curAfter, _ := st.current()
+	verAfter, etagAfter := curAfter.snap.Version, curAfter.snap.ETag
 	svc.mu.Unlock()
 	if verAfter != verBefore || etagAfter != etagBefore {
 		t.Fatalf("what-if bumped the snapshot: v%d->%d etag %q->%q",

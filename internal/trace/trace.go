@@ -358,92 +358,6 @@ func (t *EventTrace) Keys() []EventKey {
 	return keys
 }
 
-// SpanMS returns the [first, last] timestamp covered by the trace, or
-// (0, 0) for an empty trace.
-func (t *EventTrace) SpanMS() (first, last int64) {
-	if len(t.Records) == 0 {
-		return 0, 0
-	}
-	return t.Records[0].TimestampMS, t.Records[len(t.Records)-1].TimestampMS
-}
-
-// UtilizationBetween averages the samples whose timestamps fall inside
-// [startMS, endMS]. When no sample falls inside the window (events shorter
-// than the sampling period), the nearest sample is used so short events
-// still receive a power estimate, matching the paper's mapping of power
-// samples onto event intervals by timestamp.
-func (t *UtilizationTrace) UtilizationBetween(startMS, endMS int64) (UtilizationVector, bool) {
-	var acc UtilizationVector
-	if len(t.Samples) == 0 {
-		return acc, false
-	}
-	n := 0
-	for _, s := range t.Samples {
-		if s.TimestampMS >= startMS && s.TimestampMS <= endMS {
-			for i := range acc {
-				acc[i] += s.Util[i]
-			}
-			n++
-		}
-	}
-	if n > 0 {
-		for i := range acc {
-			acc[i] /= float64(n)
-		}
-		return acc, true
-	}
-	// Nearest sample fallback.
-	mid := (startMS + endMS) / 2
-	best := t.Samples[0]
-	bestDist := absInt64(best.TimestampMS - mid)
-	for _, s := range t.Samples[1:] {
-		if d := absInt64(s.TimestampMS - mid); d < bestDist {
-			best, bestDist = s, d
-		}
-	}
-	return best.Util, true
-}
-
-func absInt64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// Merge concatenates event traces that belong to the same app and user,
-// keeping records sorted by timestamp. It is used by the collection server
-// when a session's upload is split across reconnects.
-func Merge(traces ...*EventTrace) (*EventTrace, error) {
-	if len(traces) == 0 {
-		return nil, errors.New("trace: nothing to merge")
-	}
-	out := &EventTrace{
-		AppID:   traces[0].AppID,
-		UserID:  traces[0].UserID,
-		Device:  traces[0].Device,
-		TraceID: traces[0].TraceID,
-	}
-	total := 0
-	for _, t := range traces {
-		if t.AppID != out.AppID {
-			return nil, fmt.Errorf("trace: cannot merge app %q with %q", t.AppID, out.AppID)
-		}
-		if t.UserID != out.UserID {
-			return nil, fmt.Errorf("trace: cannot merge user %q with %q", t.UserID, out.UserID)
-		}
-		total += len(t.Records)
-	}
-	out.Records = make([]Record, 0, total)
-	for _, t := range traces {
-		out.Records = append(out.Records, t.Records...)
-	}
-	sort.SliceStable(out.Records, func(a, b int) bool {
-		return out.Records[a].TimestampMS < out.Records[b].TimestampMS
-	})
-	return out, nil
-}
-
 // ShortKey renders an event key the way the paper's tables do:
 // "MessageList:onResume" (simple class name, colon, callback).
 func ShortKey(k EventKey) string {

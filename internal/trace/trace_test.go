@@ -168,50 +168,6 @@ func TestKeysSortedDistinct(t *testing.T) {
 	}
 }
 
-func TestSpan(t *testing.T) {
-	tr := &EventTrace{}
-	if f, l := tr.SpanMS(); f != 0 || l != 0 {
-		t.Errorf("empty span = %d, %d", f, l)
-	}
-	tr.Records = []Record{rec(5, Enter, "L", "f"), rec(9, Exit, "L", "f")}
-	if f, l := tr.SpanMS(); f != 5 || l != 9 {
-		t.Errorf("span = %d, %d", f, l)
-	}
-}
-
-func TestUtilizationBetween(t *testing.T) {
-	ut := &UtilizationTrace{PeriodMS: 500}
-	for i := 0; i < 10; i++ {
-		var u UtilizationVector
-		u.Set(CPU, float64(i)/10)
-		ut.Samples = append(ut.Samples, UtilizationSample{TimestampMS: int64(i) * 500, Util: u})
-	}
-	// Window covering samples at 1000, 1500 (CPU 0.2, 0.3) -> 0.25.
-	got, ok := ut.UtilizationBetween(1000, 1500)
-	if !ok {
-		t.Fatal("no utilization returned")
-	}
-	if cpu := got.Get(CPU); cpu != 0.25 {
-		t.Errorf("avg CPU = %v, want 0.25", cpu)
-	}
-	// Window between samples: nearest fallback (midpoint 1240 -> sample 1000, wait:
-	// window [1210,1270], mid=1240, nearest is 1000 or 1500 -> 1000 distance 240, 1500 distance 260).
-	got, ok = ut.UtilizationBetween(1210, 1270)
-	if !ok {
-		t.Fatal("no utilization returned for narrow window")
-	}
-	if cpu := got.Get(CPU); cpu != 0.2 {
-		t.Errorf("nearest CPU = %v, want 0.2", cpu)
-	}
-}
-
-func TestUtilizationBetweenEmpty(t *testing.T) {
-	ut := &UtilizationTrace{PeriodMS: 500}
-	if _, ok := ut.UtilizationBetween(0, 100); ok {
-		t.Error("empty trace should return ok=false")
-	}
-}
-
 func TestUtilizationValidate(t *testing.T) {
 	ut := &UtilizationTrace{PeriodMS: 0}
 	if err := ut.Validate(); !errors.Is(err, ErrBadPeriod) {
@@ -222,42 +178,6 @@ func TestUtilizationValidate(t *testing.T) {
 	}}
 	if err := ut.Validate(); !errors.Is(err, ErrUnsortedRecords) {
 		t.Errorf("unsorted samples: %v", err)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &EventTrace{AppID: "k9", UserID: "u1", Records: []Record{
-		rec(10, Enter, "L", "f"), rec(20, Exit, "L", "f"),
-	}}
-	b := &EventTrace{AppID: "k9", UserID: "u1", Records: []Record{
-		rec(15, Enter, "M", "g"), rec(16, Exit, "M", "g"),
-	}}
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Records) != 4 {
-		t.Fatalf("merged %d records, want 4", len(m.Records))
-	}
-	for i := 1; i < len(m.Records); i++ {
-		if m.Records[i].TimestampMS < m.Records[i-1].TimestampMS {
-			t.Fatalf("merged records unsorted: %v", m.Records)
-		}
-	}
-}
-
-func TestMergeMismatch(t *testing.T) {
-	a := &EventTrace{AppID: "k9", UserID: "u1"}
-	b := &EventTrace{AppID: "other", UserID: "u1"}
-	if _, err := Merge(a, b); err == nil {
-		t.Error("mismatched apps merged")
-	}
-	c := &EventTrace{AppID: "k9", UserID: "u2"}
-	if _, err := Merge(a, c); err == nil {
-		t.Error("mismatched users merged")
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
 	}
 }
 
