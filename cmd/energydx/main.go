@@ -392,9 +392,11 @@ func watchRemote(baseURL, app string, asJSON bool, top int, logger *slog.Logger)
 	backoff := time.Second
 	for {
 		err := serve.WatchEvents(ctx, client, baseURL, app, lastID, func(ev serve.StreamEvent) error {
-			if ev.ID > lastID {
-				lastID = ev.ID
-			}
+			// Adopt every delivered ID, not the maximum: after a server
+			// restart the IDs start again at 1, and resuming from the
+			// old process's higher ID would replay the whole ring on
+			// every reconnect.
+			lastID = ev.ID
 			backoff = time.Second // stream is delivering; reset reconnect delay
 			return fetchRemoteReport(ctx, client, baseURL, app, &lastETag, asJSON, top, ev, logger)
 		})

@@ -230,7 +230,7 @@ func TestMetamorphicDuplicateBundleIdempotency(t *testing.T) {
 // engine's report is a pure function of the final ordered corpus — any
 // interleaving of adds, removes, refreshes and intermediate reports
 // that ends at the same corpus must produce a byte-identical report,
-// and (history-independence of the treap summaries) the same summary
+// and (history-independence of the sorted-column summaries) the same summary
 // key/value/node counts.
 func TestMetamorphicInterleavedMutationInvariance(t *testing.T) {
 	pool := multiDeviceCorpus(t, 79).Bundles
@@ -330,8 +330,8 @@ func TestMetamorphicInterleavedMutationInvariance(t *testing.T) {
 
 // TestMetamorphicAddRemoveThrash: adversarially adding and removing the
 // same bundle 1000 times must return the summaries to their exact
-// initial state — same key/value/node counts (no leak in the treap
-// arenas) and a byte-identical report.
+// initial state — same key/value/node counts (no leak in the summary
+// columns) and a byte-identical report.
 func TestMetamorphicAddRemoveThrash(t *testing.T) {
 	pool := multiDeviceCorpus(t, 83).Bundles
 	base, extra := pool[:len(pool)-1], pool[len(pool)-1]

@@ -7,10 +7,16 @@ import (
 
 // This file is the sublinear re-analysis engine behind
 // IncrementalAnalyzer: per-event-key order-statistic summaries plus
-// epoch-stamped dirty tracking, so a corpus mutation costs O(E log N)
-// summary maintenance (E = events in the touched bundle) instead of the
-// corpus-wide counting sort, and a Report only recomputes the traces
-// whose cross-trace inputs actually changed.
+// epoch-stamped dirty tracking, so a corpus mutation costs O(E·D)
+// summary maintenance (E = events in the touched bundle, D = distinct
+// powers of a touched key; each summary is a sorted column, so an
+// insert or delete shifts up to D entries) instead of the corpus-wide
+// counting sort, and a Report only recomputes the traces whose
+// cross-trace inputs actually changed. D stays small at the default
+// workload settings: a 5,000-session K9Mail corpus holds ~238k powers
+// over 34 keys but only ~3.5k distinct ones, about 100 per key. With
+// Step-1 estimation noise (EstimationNoiseFrac 0.025) ~86k are
+// distinct, the worst case measured.
 //
 // Exactness contract: every number the exact path produces comes from
 // the same code the batch finish runs — orderstat.FracRank/Percentile
@@ -304,7 +310,7 @@ func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 // rerank refreshes the rank column of every rank-stale entry in
 // entries and returns how many it refreshed. Concurrent calls take
 // disjoint entries; the summaries are only read (Rank does not mutate
-// the tree).
+// them).
 func (ia *IncrementalAnalyzer) rerank(entries []*traceEntry) int {
 	n := 0
 	for _, e := range entries {
@@ -381,11 +387,11 @@ type SummaryStats struct {
 	// Values is the total power samples across all summaries (one per
 	// event instance in the applied corpus).
 	Values int `json:"values"`
-	// Nodes is the total distinct-value tree nodes — the thrash tests'
-	// leak detector: returning to the same corpus must return to the
-	// same node count.
+	// Nodes is the total distinct values across the summaries — the
+	// thrash tests' leak detector: returning to the same corpus must
+	// return to the same count.
 	Nodes int `json:"nodes"`
-	// Bytes is the retained summary arena memory.
+	// Bytes is the summaries' retained column capacity in bytes.
 	Bytes int `json:"bytes"`
 	// PendingMutations is the add/remove queue depth not yet applied.
 	PendingMutations int `json:"pendingMutations"`

@@ -8,8 +8,10 @@
 // not a ledger). Clients detect drops from gaps in the monotonically
 // increasing event-ID sequence and resume missed events — as far as the
 // bounded replay ring reaches — with the standard SSE Last-Event-ID
-// header. A resume past the ring's horizon is answered with a
-// "resume-gap" comment so the client knows to refetch current state.
+// header. A resume past the ring's horizon, or from an ID this process
+// never issued (the client last saw a previous process), is answered
+// with a "resume-gap" comment so the client knows to refetch current
+// state, followed by whatever the ring still holds.
 package serve
 
 import (
@@ -122,28 +124,35 @@ func (h *hub) publish(ev Event) uint64 {
 }
 
 // subscribe registers a new client and returns the replayable backlog
-// after lastID (filtered by app), plus the oldest ID still in the ring
-// so the caller can detect a resume gap. ok is false once the hub is
-// closed.
-func (h *hub) subscribe(app string, lastID uint64) (sub *subscriber, backlog []streamEvent, oldest uint64, ok bool) {
+// after lastID (filtered by app). gap reports that the ring cannot
+// reach back to lastID: either it has evicted events after lastID, or
+// lastID is beyond every ID this hub issued — a client resuming from a
+// previous process, whose IDs restarted at 1 — and then the backlog is
+// the whole ring. ok is false once the hub is closed.
+func (h *hub) subscribe(app string, lastID uint64) (sub *subscriber, backlog []streamEvent, gap, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return nil, nil, 0, false
+		return nil, nil, false, false
 	}
 	sub = &subscriber{app: app, ch: make(chan streamEvent, h.queueCap)}
 	h.subs[sub] = struct{}{}
-	if len(h.ring) > 0 {
-		oldest = h.ring[0].id
+	if lastID == 0 {
+		return sub, nil, false, true
 	}
-	if lastID > 0 {
-		for _, se := range h.ring {
-			if se.id > lastID && (app == "" || se.ev.App == app) {
-				backlog = append(backlog, se)
-			}
+	after := lastID
+	switch {
+	case lastID > h.nextID:
+		gap, after = true, 0
+	case len(h.ring) > 0 && h.ring[0].id > lastID+1:
+		gap = true
+	}
+	for _, se := range h.ring {
+		if se.id > after && (app == "" || se.ev.App == app) {
+			backlog = append(backlog, se)
 		}
 	}
-	return sub, backlog, oldest, true
+	return sub, backlog, gap, true
 }
 
 func (h *hub) unsubscribe(s *subscriber) {
@@ -209,7 +218,7 @@ func (s *Service) serveEvents(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	lastID := lastEventID(req)
-	sub, backlog, oldest, ok := s.hub.subscribe(req.URL.Query().Get("app"), lastID)
+	sub, backlog, gap, ok := s.hub.subscribe(req.URL.Query().Get("app"), lastID)
 	if !ok {
 		http.Error(w, "service closed", http.StatusServiceUnavailable)
 		return
@@ -224,8 +233,8 @@ func (s *Service) serveEvents(w http.ResponseWriter, req *http.Request) {
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, "retry: 2000\n\n")
-	if lastID > 0 && oldest > lastID+1 {
-		// The ring no longer reaches the client's position: anything
+	if gap {
+		// The ring does not reach the client's position: anything
 		// between lastID and the ring is unrecoverable here. Tell the
 		// client so it refetches current snapshots before trusting the
 		// stream's deltas.

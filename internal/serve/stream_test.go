@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -210,6 +212,62 @@ func TestSSEConnectAndResume(t *testing.T) {
 	}
 	if replayed[0].Event.Version != 2 || replayed[1].Event.Version != 3 {
 		t.Fatalf("replayed versions %d,%d, want 2,3", replayed[0].Event.Version, replayed[1].Event.Version)
+	}
+}
+
+// TestSSEResumeFromPreviousProcess: a Last-Event-ID beyond every ID the
+// hub issued comes from a previous server process, whose IDs this one
+// restarted. The stream must announce a resume gap and replay the whole
+// ring, not stay silent until the new process's IDs catch up.
+func TestSSEResumeFromPreviousProcess(t *testing.T) {
+	bundles := testCorpus(t, 8, 37)
+	svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, b := range bundles[:2] {
+		svc.Notify(b)
+		svc.Flush()
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/analysis/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", "500")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && sc.Text() != "id: 2" {
+		if sc.Text() != "" {
+			lines = append(lines, sc.Text())
+		}
+	}
+	if sc.Text() != "id: 2" {
+		t.Fatalf("stream ended (%v) before event 2; got %q", sc.Err(), lines)
+	}
+	want := []string{"retry: 2000", ": resume-gap", "id: 1", "event: report"}
+	if len(lines) < len(want) || !slices.Equal(lines[:len(want)], want) {
+		t.Fatalf("stream lines %q, want a prefix %q", lines, want)
+	}
+
+	// A client that adopted the new process's IDs resumes without a gap.
+	sub, backlog, gap, ok := svc.hub.subscribe("", 2)
+	if !ok {
+		t.Fatal("subscribe failed")
+	}
+	defer svc.hub.unsubscribe(sub)
+	if gap || len(backlog) != 0 {
+		t.Fatalf("resume from the newest ID: gap %v, backlog %d, want none", gap, len(backlog))
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats"
 )
 
-// refMultiset is the oracle: a plain slice kept alongside the tree.
+// refMultiset is the oracle: a plain slice kept alongside the columns.
 type refMultiset struct{ vals []float64 }
 
 func (r *refMultiset) add(v float64) { r.vals = append(r.vals, v) }
@@ -33,7 +33,7 @@ func drawValue(rng *rand.Rand) float64 {
 }
 
 // TestParityUnderChurn drives random add/remove churn and, at every
-// step, checks Len, Kth, Rank, FracRank, Percentile and Fences against
+// step, checks Len, Kth, Rank, FracRank and Percentile against
 // the stats package over the sorted oracle slice — bit-identical, not
 // approximately equal.
 func TestParityUnderChurn(t *testing.T) {
@@ -111,21 +111,10 @@ func verifyAgainst(t *testing.T, m *Multiset, vals []float64, step int) {
 				step, p, got, want)
 		}
 	}
-	wantF, err := stats.ComputeFences(vals, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotF, err := m.Fences(3)
-	if err != nil {
-		t.Fatalf("step %d: Fences: %v", step, err)
-	}
-	if gotF != wantF {
-		t.Fatalf("step %d: Fences = %+v, want %+v", step, gotF, wantF)
-	}
 }
 
-// TestShapeAndNodesHistoryIndependent: the treap's priorities are a
-// function of the value bits, so any insertion order over the same
+// TestShapeAndNodesHistoryIndependent: the sorted columns are a
+// function of the value set, so any insertion order over the same
 // multiset must produce identical node counts, identical value walks
 // and identical query answers.
 func TestShapeAndNodesHistoryIndependent(t *testing.T) {
@@ -225,9 +214,6 @@ func TestEdgeQueries(t *testing.T) {
 	}
 	if _, err := m.Percentile(-1); err == nil {
 		t.Fatal("out-of-range percentile did not error")
-	}
-	if _, err := m.Fences(math.NaN()); err == nil {
-		t.Fatal("NaN fence multiplier did not error")
 	}
 	less, equal := m.Rank(42)
 	if less != 0 || equal != 1 {

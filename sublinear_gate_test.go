@@ -7,11 +7,11 @@ import (
 )
 
 // maxSublinearExponent is the CI ceiling for the fitted growth exponent
-// of the sublinear re-analysis path. The design target is ~O(log N) per
-// ingest (exponent near 0 over 100..10k bundles); 0.5 leaves headroom
-// for benchmark noise while still failing loudly if an O(N) cost (a
-// full-table clear, an order-slice reallocation, eager dirty fan-out)
-// sneaks back onto the churn path.
+// of the sublinear re-analysis path. The design target is a per-ingest
+// cost flat in corpus size (exponent near 0 over 100..10k bundles);
+// 0.5 leaves headroom for benchmark noise while still failing loudly if
+// an O(N) cost (a full-table clear, an order-slice reallocation, eager
+// dirty fan-out) sneaks back onto the churn path.
 const maxSublinearExponent = 0.5
 
 // minSpeedupVsIncremental is the CI floor for how much faster summary
@@ -38,7 +38,7 @@ func TestSublinearGate(t *testing.T) {
 			continue
 		}
 		if f.Exponent > maxSublinearExponent {
-			t.Errorf("sublinear re-analysis grows as N^%.3f (> %.1f): per-ingest cost is no longer ~O(log N); ns/op %v over sizes %v",
+			t.Errorf("sublinear re-analysis grows as N^%.3f (> %.1f): per-ingest cost is no longer flat in N; ns/op %v over sizes %v",
 				f.Exponent, maxSublinearExponent, f.NsPerOp, f.Sizes)
 		}
 	}
