@@ -70,40 +70,71 @@ import (
 // opposed to an operational error; both exit non-zero.
 var errGateFailed = errors.New("regression gate failed")
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "energydx:", err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run runs the command with args (without the program name) on its
+// own flag set and returns its exit status: 0 on success, 1 on an
+// error or a failed -gate, 2 on a bad command line (0 for -h).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("energydx", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	err := streams{stdin: stdin, stdout: stdout, stderr: stderr}.run(fs, args)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	}
+	fmt.Fprintln(stderr, "energydx:", err)
+	return 1
 }
 
-func run() error {
-	var (
-		in         = flag.String("in", "-", "corpus file of JSON-lines bundles ('-' for stdin)")
-		impacted   = flag.Float64("impacted-pct", 0, "developer-estimated percentage of impacted users (0 = sort by impact)")
-		window     = flag.Int("window", 2, "manifestation window half-width in events")
-		fence      = flag.Float64("fence", 3, "IQR fence multiplier")
-		normBase   = flag.Float64("norm-base", 10, "normalization base percentile")
-		top        = flag.Int("top", 6, "events to report for the code-reduction metric")
-		asJSON     = flag.Bool("json", false, "emit the full report as JSON instead of text")
-		par        = flag.Int("parallel", 0, "analysis worker goroutines for Steps 1-4 (0 = GOMAXPROCS, 1 = serial); output is identical at any count")
-		lenient    = flag.Bool("lenient", false, "tolerate corrupt input: skip undecodable corpus lines and invalid traces (accounted on stderr / in the report) instead of failing")
-		watch      = flag.Bool("watch", false, "stay alive and re-analyze incrementally whenever -in changes (file path, not stdin); with an http(s) -in, follow the server's SSE event stream instead; exit on SIGINT/SIGTERM")
-		appID      = flag.String("app", "", "app to follow when -watch points -in at a collectd analysis server URL")
-		watchEvery = flag.Duration("watch-interval", 2*time.Second, "corpus file poll interval for -watch")
-		diffMode   = flag.Bool("diff", false, "compare two corpora: energydx -diff <baseline> <candidate>; print the revision report")
-		gateMode   = flag.Bool("gate", false, "CI regression gate: energydx -gate <baseline> <candidate>; exit non-zero when the candidate regresses past the thresholds")
-		gateConfig = flag.String("gate-config", "", "JSON file overriding the default -gate thresholds")
-		stats      = flag.Bool("stats", false, "print the per-step wall/CPU latency breakdown to stderr after the report")
-		traceOut   = flag.String("trace", "", "write the analysis spans (steps + per-trace worker tasks) as JSONL to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		logLevel   = flag.String("log-level", "info", "log level: debug|info|warn|error")
-		logFormat  = flag.String("log-format", "text", "log output format: text|json")
-	)
-	flag.Parse()
+// errUsage marks a command line the flag set rejected, after it
+// printed the error and the usage.
+var errUsage = errors.New("bad command line")
 
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+// streams are the command's standard streams: a corpus read from "-"
+// comes from stdin, reports go to stdout, and logs, errors and -stats
+// to stderr.
+type streams struct {
+	stdin          io.Reader
+	stdout, stderr io.Writer
+}
+
+// run is the command once its flag set is made: it parses args and
+// runs the analysis, diff, gate or watch they select.
+func (s streams) run(fs *flag.FlagSet, args []string) error {
+	var (
+		in         = fs.String("in", "-", "corpus file of JSON-lines bundles ('-' for stdin)")
+		impacted   = fs.Float64("impacted-pct", 0, "developer-estimated percentage of impacted users (0 = sort by impact)")
+		window     = fs.Int("window", 2, "manifestation window half-width in events")
+		fence      = fs.Float64("fence", 3, "IQR fence multiplier")
+		normBase   = fs.Float64("norm-base", 10, "normalization base percentile")
+		top        = fs.Int("top", 6, "events to report for the code-reduction metric")
+		asJSON     = fs.Bool("json", false, "emit the full report as JSON instead of text")
+		par        = fs.Int("parallel", 0, "analysis worker goroutines for Steps 1-4 (0 = GOMAXPROCS, 1 = serial); output is identical at any count")
+		lenient    = fs.Bool("lenient", false, "tolerate corrupt input: skip undecodable corpus lines and invalid traces (accounted on stderr / in the report) instead of failing")
+		watch      = fs.Bool("watch", false, "stay alive and re-analyze incrementally whenever -in changes (file path, not stdin); with an http(s) -in, follow the server's SSE event stream instead; exit on SIGINT/SIGTERM")
+		appID      = fs.String("app", "", "app to follow when -watch points -in at a collectd analysis server URL")
+		watchEvery = fs.Duration("watch-interval", 2*time.Second, "corpus file poll interval for -watch")
+		diffMode   = fs.Bool("diff", false, "compare two corpora: energydx -diff <baseline> <candidate>; print the revision report")
+		gateMode   = fs.Bool("gate", false, "CI regression gate: energydx -gate <baseline> <candidate>; exit non-zero when the candidate regresses past the thresholds")
+		gateConfig = fs.String("gate-config", "", "JSON file overriding the default -gate thresholds")
+		stats      = fs.Bool("stats", false, "print the per-step wall/CPU latency breakdown to stderr after the report")
+		traceOut   = fs.String("trace", "", "write the analysis spans (steps + per-trace worker tasks) as JSONL to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")
+		logLevel   = fs.String("log-level", "info", "log level: debug|info|warn|error")
+		logFormat  = fs.String("log-format", "text", "log output format: text|json")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+
+	logger, err := obs.NewLogger(s.stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -127,10 +158,10 @@ func run() error {
 		if *watch {
 			return errors.New("-diff/-gate and -watch are mutually exclusive")
 		}
-		if flag.NArg() != 2 {
-			return fmt.Errorf("-diff/-gate take exactly two corpus files (baseline, candidate), got %d args", flag.NArg())
+		if fs.NArg() != 2 {
+			return fmt.Errorf("-diff/-gate take exactly two corpus files (baseline, candidate), got %d args", fs.NArg())
 		}
-		return runDiff(flag.Arg(0), flag.Arg(1), cfg, diffOptions{
+		return s.runDiff(fs.Arg(0), fs.Arg(1), cfg, diffOptions{
 			gate:       *gateMode,
 			gateConfig: *gateConfig,
 			asJSON:     *asJSON,
@@ -149,18 +180,18 @@ func run() error {
 			if *appID == "" {
 				return errors.New("remote -watch requires -app (which app's reports to follow)")
 			}
-			if err := watchRemote(*in, *appID, *asJSON, *top, logger); err != nil {
+			if err := s.watchRemote(*in, *appID, *asJSON, *top, logger); err != nil {
 				return err
 			}
 			return obs.WriteHeapProfile(*memProfile)
 		}
-		if err := watchLoop(*in, *watchEvery, cfg, *lenient, *asJSON, *top, *stats, logger); err != nil {
+		if err := s.watchLoop(*in, *watchEvery, cfg, *lenient, *asJSON, *top, *stats, logger); err != nil {
 			return err
 		}
 		return obs.WriteHeapProfile(*memProfile)
 	}
 
-	bundles, err := readCorpus(*in, *lenient, logger)
+	bundles, err := s.readCorpus(*in, *lenient, logger)
 	if err != nil {
 		return err
 	}
@@ -192,11 +223,11 @@ func run() error {
 		}
 		logger.Info("wrote span trace", "path", *traceOut, "spans", len(tracer.Records()))
 	}
-	if err := printReport(report, *asJSON, *top); err != nil {
+	if err := s.printReport(report, *asJSON, *top); err != nil {
 		return err
 	}
 	if *stats {
-		if err := report.WriteStages(os.Stderr); err != nil {
+		if err := report.WriteStages(s.stderr); err != nil {
 			return err
 		}
 	}
@@ -206,13 +237,13 @@ func run() error {
 // printReport renders one diagnosis report to stdout: full JSON under
 // -json, else the developer-facing text rendering followed by the
 // code-reduction metric when the app's APK model is in the catalog.
-func printReport(report *core.Report, asJSON bool, top int) error {
+func (s streams) printReport(report *core.Report, asJSON bool, top int) error {
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(s.stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(report)
 	}
-	if err := report.WriteText(os.Stdout); err != nil {
+	if err := report.WriteText(s.stdout); err != nil {
 		return err
 	}
 	if app, err := apps.ByAppID(report.AppID); err == nil {
@@ -220,7 +251,7 @@ func printReport(report *core.Report, asJSON bool, top int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\ncode reduction: %d of %d lines to inspect (%.1f%% reduction)\n",
+		fmt.Fprintf(s.stdout, "\ncode reduction: %d of %d lines to inspect (%.1f%% reduction)\n",
 			cr.DiagnosisLines, cr.TotalLines, cr.Reduction*100)
 	}
 	return nil
@@ -238,9 +269,9 @@ type diffOptions struct {
 // prints it (-diff) or evaluates it against the regression gate
 // (-gate). A gate failure is reported on stdout and surfaces as
 // errGateFailed so the process exits non-zero for CI.
-func runDiff(basePath, candPath string, cfg core.Config, opts diffOptions, logger *slog.Logger) error {
+func (s streams) runDiff(basePath, candPath string, cfg core.Config, opts diffOptions, logger *slog.Logger) error {
 	analyze := func(path string) (*core.Report, error) {
-		bundles, err := readCorpus(path, opts.lenient, logger)
+		bundles, err := s.readCorpus(path, opts.lenient, logger)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -268,11 +299,11 @@ func runDiff(basePath, candPath string, cfg core.Config, opts diffOptions, logge
 
 	if !opts.gate {
 		if opts.asJSON {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(s.stdout)
 			enc.SetIndent("", "  ")
 			return enc.Encode(d)
 		}
-		return d.WriteText(os.Stdout)
+		return d.WriteText(s.stdout)
 	}
 
 	g := revision.DefaultGate()
@@ -283,7 +314,7 @@ func runDiff(basePath, candPath string, cfg core.Config, opts diffOptions, logge
 	}
 	res := g.Evaluate(d)
 	if opts.asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(s.stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
 			Diff *revision.Diff      `json:"diff"`
@@ -291,7 +322,7 @@ func runDiff(basePath, candPath string, cfg core.Config, opts diffOptions, logge
 		}{d, res}); err != nil {
 			return err
 		}
-	} else if err := res.WriteText(os.Stdout); err != nil {
+	} else if err := res.WriteText(s.stdout); err != nil {
 		return err
 	}
 	if !res.Pass {
@@ -304,7 +335,7 @@ func runDiff(basePath, candPath string, cfg core.Config, opts diffOptions, logge
 // incremental analyzer whenever its mtime or size changes. Bundles
 // whose content survives a rewrite keep their cached Step-1 results,
 // so an append costs one Step-1 computation plus Steps 2-5.
-func watchLoop(path string, interval time.Duration, cfg core.Config, lenient, asJSON bool, top int, stats bool, logger *slog.Logger) error {
+func (s streams) watchLoop(path string, interval time.Duration, cfg core.Config, lenient, asJSON bool, top int, stats bool, logger *slog.Logger) error {
 	inc, err := core.NewIncrementalAnalyzer(cfg, 0)
 	if err != nil {
 		return err
@@ -323,7 +354,7 @@ func watchLoop(path string, interval time.Duration, cfg core.Config, lenient, as
 			logger.Warn("watch: stat failed; corpus may be mid-rewrite", "path", path, "err", err)
 		} else if fi.ModTime() != lastMod || fi.Size() != lastSize {
 			lastMod, lastSize = fi.ModTime(), fi.Size()
-			if err := watchRefresh(inc, path, lenient, asJSON, top, stats, logger); err != nil {
+			if err := s.watchRefresh(inc, path, lenient, asJSON, top, stats, logger); err != nil {
 				return err
 			}
 		}
@@ -341,8 +372,8 @@ func watchLoop(path string, interval time.Duration, cfg core.Config, lenient, as
 // dropped, survivors served from cache), and reprints the report when
 // anything actually changed. Transient read/analysis failures are
 // logged and retried on the next poll, never fatal.
-func watchRefresh(inc *core.IncrementalAnalyzer, path string, lenient, asJSON bool, top int, stats bool, logger *slog.Logger) error {
-	bundles, err := readCorpus(path, lenient, logger)
+func (s streams) watchRefresh(inc *core.IncrementalAnalyzer, path string, lenient, asJSON bool, top int, stats bool, logger *slog.Logger) error {
+	bundles, err := s.readCorpus(path, lenient, logger)
 	if err != nil {
 		logger.Warn("watch: corpus reload failed", "err", err)
 		return nil
@@ -365,12 +396,12 @@ func watchRefresh(inc *core.IncrementalAnalyzer, path string, lenient, asJSON bo
 		"bundles", report.TotalTraces, "added", added, "removed", removed,
 		"wall", time.Since(start).Round(time.Millisecond),
 		"cache_hit_rate", fmt.Sprintf("%.3f", cs.HitRate()))
-	fmt.Printf("=== corpus changed (+%d/-%d bundles) ===\n", added, removed)
-	if err := printReport(report, asJSON, top); err != nil {
+	fmt.Fprintf(s.stdout, "=== corpus changed (+%d/-%d bundles) ===\n", added, removed)
+	if err := s.printReport(report, asJSON, top); err != nil {
 		return err
 	}
 	if stats {
-		return report.WriteStages(os.Stderr)
+		return report.WriteStages(s.stderr)
 	}
 	return nil
 }
@@ -381,7 +412,7 @@ func watchRefresh(inc *core.IncrementalAnalyzer, path string, lenient, asJSON bo
 // the versioned report conditionally — If-None-Match with the last
 // printed ETag, so a replayed or duplicate event costs one 304, not a
 // report transfer. Exits cleanly on SIGINT/SIGTERM.
-func watchRemote(baseURL, app string, asJSON bool, top int, logger *slog.Logger) error {
+func (s streams) watchRemote(baseURL, app string, asJSON bool, top int, logger *slog.Logger) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	client := &http.Client{}
@@ -398,7 +429,7 @@ func watchRemote(baseURL, app string, asJSON bool, top int, logger *slog.Logger)
 			// every reconnect.
 			lastID = ev.ID
 			backoff = time.Second // stream is delivering; reset reconnect delay
-			return fetchRemoteReport(ctx, client, baseURL, app, &lastETag, asJSON, top, ev, logger)
+			return s.fetchRemoteReport(ctx, client, baseURL, app, &lastETag, asJSON, top, ev, logger)
 		})
 		if ctx.Err() != nil {
 			logger.Info("watch: shutting down")
@@ -425,7 +456,7 @@ func watchRemote(baseURL, app string, asJSON bool, top int, logger *slog.Logger)
 // stream event and prints the report when it actually changed.
 // Transient failures log and return nil — the stream stays up and the
 // next event retries.
-func fetchRemoteReport(ctx context.Context, client *http.Client, baseURL, app string, lastETag *string, asJSON bool, top int, ev serve.StreamEvent, logger *slog.Logger) error {
+func (s streams) fetchRemoteReport(ctx context.Context, client *http.Client, baseURL, app string, lastETag *string, asJSON bool, top int, ev serve.StreamEvent, logger *slog.Logger) error {
 	u := strings.TrimSuffix(baseURL, "/") + "/analysis/report?app=" + url.QueryEscape(app)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -458,8 +489,8 @@ func fetchRemoteReport(ctx context.Context, client *http.Client, baseURL, app st
 		return nil
 	}
 	*lastETag = resp.Header.Get("ETag")
-	fmt.Printf("=== report update: %s v%d (etag %s) ===\n", ev.Event.App, ev.Event.Version, ev.Event.ETag)
-	return printReport(&report, asJSON, top)
+	fmt.Fprintf(s.stdout, "=== report update: %s v%d (etag %s) ===\n", ev.Event.App, ev.Event.Version, ev.Event.ETag)
+	return s.printReport(&report, asJSON, top)
 }
 
 // writeSpans exports the tracer's spans as JSONL.
@@ -475,8 +506,8 @@ func writeSpans(path string, tracer *obs.Tracer) error {
 	return err
 }
 
-func readCorpus(path string, lenient bool, logger *slog.Logger) ([]*trace.TraceBundle, error) {
-	var r io.Reader = os.Stdin
+func (s streams) readCorpus(path string, lenient bool, logger *slog.Logger) ([]*trace.TraceBundle, error) {
+	r := s.stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {

@@ -203,8 +203,9 @@ func (l *Log) replay() error {
 	if err != nil {
 		return err
 	}
+	r := newSegReader()
 	for fi, name := range names {
-		if err := l.replaySegment(name, fi == len(names)-1); err != nil {
+		if err := l.replaySegment(r, name, fi == len(names)-1); err != nil {
 			return err
 		}
 	}
@@ -227,15 +228,15 @@ func (l *Log) replay() error {
 	return nil
 }
 
-// replaySegment scans one file, indexing records; for the last file a
-// torn tail is truncated instead of failing.
-func (l *Log) replaySegment(name string, last bool) error {
+// replaySegment scans one file through r, indexing records; for the
+// last file a torn tail is truncated instead of failing.
+func (l *Log) replaySegment(r *segReader, name string, last bool) error {
 	f, err := os.Open(l.segPath(name))
 	if err != nil {
 		return fmt.Errorf("seglog: %w", err)
 	}
 	defer f.Close()
-	r := newSegReader(f)
+	r.reset(f)
 	for {
 		typ, key, _, off, err := r.next()
 		if err == io.EOF {
@@ -274,14 +275,24 @@ func qseqOf(key string) uint64 {
 	return n
 }
 
-// segReader reads one segment's records front to back.
+// segReader reads a segment's records front to back. One reader serves
+// every segment of a replay or scan (reset), and every record is read
+// into one payload buffer, so a record's body is valid only until the
+// next call to next.
 type segReader struct {
 	r   *bufio.Reader
-	off int64 // offset of the next frame
+	off int64  // offset of the next frame
+	buf []byte // the last record's payload; its storage is reused
 }
 
-func newSegReader(f *os.File) *segReader {
-	return &segReader{r: bufio.NewReaderSize(f, 64<<10)}
+func newSegReader() *segReader {
+	return &segReader{r: bufio.NewReaderSize(nil, 64<<10)}
+}
+
+// reset points the reader at the start of f, keeping its buffers.
+func (s *segReader) reset(f *os.File) {
+	s.r.Reset(f)
+	s.off = 0
 }
 
 // next returns the next record and its offset. At a clean end of file
@@ -289,10 +300,11 @@ func newSegReader(f *os.File) *segReader {
 // cause, with off at the start of that frame.
 func (s *segReader) next() (typ byte, key string, body []byte, off int64, err error) {
 	off = s.off
-	payload, err := binenc.ReadFrame(s.r, binenc.MaxFrameBytes)
+	payload, err := binenc.ReadFrame(s.r, binenc.MaxFrameBytes, s.buf)
 	if err != nil {
 		return 0, "", nil, off, err
 	}
+	s.buf = payload
 	if typ, key, body, err = splitRecord(payload); err != nil {
 		return 0, "", nil, off, err
 	}
@@ -461,7 +473,8 @@ func (l *Log) rotateLocked() error {
 }
 
 // Scan streams every live record (the last occurrence of each key) in
-// replay order. The body slice is only valid during the callback.
+// replay order. The body slice is only valid during the callback: every
+// record is read into one reused buffer.
 func (l *Log) Scan(fn func(typ byte, key string, body []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -475,25 +488,26 @@ func (l *Log) Scan(fn func(typ byte, key string, body []byte) error) error {
 	names := append([]string(nil), l.segs...)
 	l.mu.Unlock()
 
+	r := newSegReader()
 	for _, name := range names {
-		if err := l.scanFile(name, live, fn); err != nil {
+		if err := l.scanFile(r, name, live, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scanFile streams the records of one segment that live points at. A
-// torn or unparsable tail ends the scan silently — for the active
-// segment that is the write frontier racing ahead of the index
-// snapshot; sealed segments were integrity-checked at Open.
-func (l *Log) scanFile(name string, live map[string]recRef, fn func(typ byte, key string, body []byte) error) error {
+// scanFile streams the records of one segment that live points at,
+// through r. A torn or unparsable tail ends the scan silently — for
+// the active segment that is the write frontier racing ahead of the
+// index snapshot; sealed segments were integrity-checked at Open.
+func (l *Log) scanFile(r *segReader, name string, live map[string]recRef, fn func(typ byte, key string, body []byte) error) error {
 	f, err := os.Open(l.segPath(name))
 	if err != nil {
 		return fmt.Errorf("seglog: %w", err)
 	}
 	defer f.Close()
-	r := newSegReader(f)
+	r.reset(f)
 	for {
 		typ, key, body, off, err := r.next()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -403,5 +404,58 @@ func TestEmptyAndMissingKeys(t *testing.T) {
 	}
 	if bundles, quarantine := collect(t, l); len(bundles)+len(quarantine) != 0 {
 		t.Fatalf("rejected appends left records: %v %q", bundles, quarantine)
+	}
+}
+
+// TestReplayAndScanReuseFrameBuffer: Open's replay and Scan read every
+// record into one reused payload buffer, so reading N records across
+// several segments allocates O(1) frame buffers, not one per record.
+// The bodies are large enough that N of them would dwarf everything
+// else a replay or scan allocates (the index, the keys, the readers).
+func TestReplayAndScanReuseFrameBuffer(t *testing.T) {
+	const n, size = 64, 32 << 10
+	dir := t.TempDir()
+	l := open(t, dir, 8*size) // rotates, so the reader spans ~8 segments
+	body := make([]byte, size)
+	for i := 0; i < n; i++ {
+		body[0] = byte(i)
+		if err := l.AppendBundle(fmt.Sprintf("k%02d", i), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const limit = n * size / 8
+	var l2 *Log
+	if got := allocated(func() { l2 = open(t, dir, 8*size) }); got > limit {
+		t.Errorf("replaying %d records of %d bytes allocated %d bytes, want <= %d", n, size, got, limit)
+	}
+	defer l2.Close()
+	seen := 0
+	got := allocated(func() {
+		err := l2.Scan(func(_ byte, _ string, body []byte) error {
+			if len(body) != size || body[0] != byte(seen) {
+				return fmt.Errorf("record %d: body of %d bytes starting %d", seen, len(body), body[0])
+			}
+			seen++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if seen != n {
+		t.Fatalf("Scan yielded %d records, want %d", seen, n)
+	}
+	if got > limit {
+		t.Errorf("scanning %d records of %d bytes allocated %d bytes, want <= %d", n, size, got, limit)
 	}
 }

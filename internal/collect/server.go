@@ -390,7 +390,7 @@ func (s *Server) shardFor(payload []byte) *shard {
 func (s *Server) handleFrames(br *bufio.Reader, w *bufio.Writer) {
 	bundles, bad := 0, 0
 	for {
-		payload, err := binenc.ReadFrame(br, s.limits.MaxLineBytes)
+		payload, err := binenc.ReadFrame(br, s.limits.MaxLineBytes, nil)
 		if err != nil {
 			if !errors.Is(err, binenc.ErrFrameTooLarge) && !errors.Is(err, binenc.ErrCRCMismatch) {
 				// EOF, a frame cut short by the connection ending, or a

@@ -111,6 +111,16 @@ func (c *stepCache) get(key string) (stepOneResult, bool) {
 	return el.Value.(*cacheNode).res, true
 }
 
+// peek reports whether key is cached, without counting a lookup or
+// touching its recency: a flush uses it to find the adds worth
+// estimating ahead, and the get that follows does the accounting.
+func (c *stepCache) peek(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
+}
+
 // put stores the Step-1 result for key as most recently used, evicting
 // the least recently used entries beyond capacity.
 func (c *stepCache) put(key string, res stepOneResult) {

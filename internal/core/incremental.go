@@ -54,10 +54,12 @@ type pendingOp struct {
 // IncrementalAnalyzer maintains a mutable corpus and re-analyzes it
 // sublinearly. Step 1 (power estimation, per trace and pure in the
 // bundle's content) is cached in a bounded LRU keyed by the bundle's
-// content key; Steps 2–5 are served from per-event-key order-statistic
-// summaries (see summaries.go) maintained under add/remove in O(E·D)
-// per mutation (E events in the bundle, D distinct powers per key,
-// about 100 on a 5,000-session corpus), with normalization/detection
+// content key, and a flush's misses are estimated over
+// Config.Parallelism workers; Steps 2–5 are served from per-event-key
+// order-statistic summaries (see summaries.go) that each flush updates
+// with one sorted merge per touched key, O(D + B log B) for D distinct
+// powers of the key (about 100 on a 5,000-session corpus) and B of its
+// powers in the flush, with normalization/detection
 // re-run only for traces whose cross-trace inputs (key multisets, base
 // powers) actually changed. Report is byte-identical to Analyzer.Analyze over the same
 // bundles in the same order — the summary queries are bit-identical to
@@ -188,23 +190,75 @@ func (ia *IncrementalAnalyzer) takeIntake(snapshot bool) (ops []pendingOp, live 
 }
 
 // applyOps applies mutations taken by takeIntake to the corpus state
-// and keeps the slice as the next spare queue. Callers hold ia.mu.
+// and keeps the slice as the next spare queue. Step 1 of the adds the
+// cache lacks runs ahead over the workers (estimateAhead); the ops then
+// apply serially in queue order, so the cache sees its gets and puts in
+// the same order at any worker count. The flush's powers merge into the
+// per-key summaries at the end, one sorted batch per key (mergeFlush).
+// Callers hold ia.mu.
 func (ia *IncrementalAnalyzer) applyOps(ops []pendingOp) {
-	for _, op := range ops {
+	ahead := ia.estimateAhead(ops)
+	for i, op := range ops {
 		switch {
 		case op.key == "":
 		case op.add:
-			ia.applyAdd(op.key, op.b)
+			var pre stepOneResult
+			if ahead != nil {
+				pre = ahead[i]
+			}
+			ia.applyAdd(op.key, op.b, pre)
 		default:
 			ia.applyRemove(op.key)
 		}
 	}
+	ia.mergeFlush()
 	clear(ops) // release key and bundle refs; O(ops drained), not O(cap)
 	ia.drained = ops[:0]
 }
 
+// estimateAhead runs Step 1 over Config.Parallelism workers for the
+// adds in ops whose key the Step-1 cache lacks, and returns the results
+// parallel to ops, zero where it estimated nothing. It returns nil when
+// the fan-out would be one chunk (refreshChunks): at one worker, and
+// for a flush of fewer than 128 adds or misses, Step 1 stays inline in
+// applyAdd. The cache is only peeked here; applyAdd's get and put do
+// the accounting, so lookups, hits, misses and evictions are the
+// serial path's.
+func (ia *IncrementalAnalyzer) estimateAhead(ops []pendingOp) []stepOneResult {
+	workers := ia.a.cfg.Parallelism
+	adds := 0
+	for _, op := range ops {
+		if op.add {
+			adds++
+		}
+	}
+	if refreshChunks(workers, adds) == 1 {
+		return nil
+	}
+	var miss []int
+	for i, op := range ops {
+		if op.add && !ia.cache.peek(op.key) {
+			miss = append(miss, i)
+		}
+	}
+	k := refreshChunks(workers, len(miss))
+	if k == 1 {
+		return nil
+	}
+	ahead := make([]stepOneResult, len(ops))
+	_ = forChunks(workers, len(miss), k, func(lo, hi int) error {
+		for _, i := range miss[lo:hi] {
+			at, err := ia.a.estimateEvents(ops[i].b)
+			ahead[i] = stepOneResult{at: at, err: err}
+		}
+		return nil
+	})
+	return ahead
+}
+
 // Refresh applies all pending corpus mutations to the per-key summaries
-// and bases without producing a report: O(E·D) per mutation. It is
+// and bases without producing a report: O(E·D) for a one-bundle flush
+// of E events. It is
 // summary maintenance only; no trace is ranked or detected until the
 // next Report, which refreshes new and stale traces alike (and applies
 // any pending mutations itself, so calling Refresh first is optional).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -282,4 +283,125 @@ func TestIncrementalErrorsMatchBatchAtAnyParallelism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lruModel is the Step-1 cache's accounting as the serial apply loop
+// drives it: one get per applied add in queue order, and a put after
+// each miss that evicts the least recently used key beyond capacity.
+type lruModel struct {
+	capacity int
+	keys     []string // most recently used last
+	st       core.CacheStats
+}
+
+func (m *lruModel) add(key string) {
+	m.st.Lookups++
+	if i := slices.Index(m.keys, key); i >= 0 {
+		m.st.Hits++
+		m.keys = append(append(m.keys[:i:i], m.keys[i+1:]...), key)
+		return
+	}
+	m.st.Misses++
+	m.keys = append(m.keys, key)
+	if len(m.keys) > m.capacity {
+		m.keys = m.keys[1:]
+		m.st.Evictions++
+	}
+}
+
+func (m *lruModel) stats() core.CacheStats {
+	st := m.st
+	st.Capacity, st.Size = m.capacity, len(m.keys)
+	return st
+}
+
+// TestStepOneCacheAccountingAtAnyParallelism pins that estimating a
+// flush's Step 1 ahead over the workers leaves the cache's accounting
+// to the serial loop: with a cache smaller than one flush (capacity
+// 100, a 300-bundle cold load), then removes and re-adds of keys the
+// flush's own puts evict after the fan-out peeked them, CacheStats
+// after every report must equal a serial LRU model at parallelism 1, 2
+// and 8, and every served body must equal the batch report's bytes.
+func TestStepOneCacheAccountingAtAnyParallelism(t *testing.T) {
+	const capacity, cold = 100, 300
+	pool := lightPool(t, cold+20, 29)
+	batch, err := core.NewAnalyzer(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	incs := make([]*core.IncrementalAnalyzer, len(parallelismLevels))
+	for i, p := range parallelismLevels {
+		cfg := core.DefaultConfig()
+		cfg.Parallelism = p
+		if incs[i], err = core.NewIncrementalAnalyzer(cfg, capacity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model := lruModel{capacity: capacity}
+	var m mirror
+	add := func(b *trace.TraceBundle) {
+		var key string
+		for _, inc := range incs {
+			key, _ = inc.Add(b)
+		}
+		m.add(key, b)
+		model.add(key)
+	}
+	remove := func(key string) {
+		for _, inc := range incs {
+			if !inc.Remove(key) {
+				t.Fatalf("remove of present key %s returned false", key)
+			}
+		}
+		m.remove(key)
+	}
+	check := func(step string) {
+		t.Helper()
+		want, err := batch.Analyze(m.bundles)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", step, err)
+		}
+		wj := reportJSON(t, want)
+		for i, inc := range incs {
+			what := fmt.Sprintf("%s, parallelism %d", step, parallelismLevels[i])
+			rep, body, err := inc.ReportJSON()
+			assertReportJSON(t, what, rep, body, err, wj)
+			if got, want := inc.CacheStats(), model.stats(); got != want {
+				t.Fatalf("%s: cache stats %+v, serial model %+v", what, got, want)
+			}
+		}
+	}
+
+	for _, b := range pool[:cold] {
+		add(b)
+	}
+	check("cold load")
+	// The cache now holds the last 100 keys. Retract the last 150 and
+	// re-add them in order: the first 50 misses evict keys the flush's
+	// later gets then miss, so those are estimated inline.
+	tail := append([]string(nil), m.keys[cold-150:]...)
+	tailBundles := append([]*trace.TraceBundle(nil), m.bundles[cold-150:]...)
+	for _, k := range tail {
+		remove(k)
+	}
+	check("remove 150")
+	for _, b := range tailBundles {
+		add(b)
+	}
+	check("re-add 150")
+	// Retract the first 160 keys and 50 the cache still holds, then
+	// re-add them in one flush with 20 new uploads and 10 removes: the
+	// cached 50 come first and hit, the rest miss and fan out.
+	first := append([]*trace.TraceBundle(nil), m.bundles[:160]...)
+	for _, k := range append(append([]string(nil), m.keys[:160]...), tail[100:]...) {
+		remove(k)
+	}
+	check("remove 210")
+	for _, b := range append(append(tailBundles[100:], first...), pool[cold:]...) {
+		add(b)
+	}
+	for _, k := range append([]string(nil), m.keys[20:30]...) {
+		remove(k)
+	}
+	check("re-add 210, add 20, remove 10")
 }

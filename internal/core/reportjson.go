@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -27,13 +28,15 @@ import (
 // costs the change, not the corpus.
 //
 // Byte identity with json.Marshal(report) holds because every value is
-// still encoded by encoding/json, exactly as json.Marshal encodes it —
-// escaping, float formatting and null-versus-[] stay encoding/json's
-// own — and only the field names and their order are written here,
-// from the lists below. The one exception is the float columns (rank,
-// normPower, amplitude), a flush's bulk: floats writes them with
-// encoding/json's float rules but without its reflection, and
-// TestFloatColumnsMatchMarshal pins its bytes and errors to
+// either encoded by encoding/json, exactly as json.Marshal encodes it,
+// with only the field names and their order written here from the
+// lists below, or written by hand with encoding/json's rules. Two parts
+// are written by hand, because they are the bulk of the bytes: the
+// heads (identity strings and events), most of a cold load, and the
+// float columns (rank, normPower, amplitude), most of a flush. Their
+// escaping, float formatting and null-versus-[] follow encoding/json
+// without its reflection, and FuzzHeadFragmentMatchesMarshal and
+// TestFloatColumnsMatchMarshal pin their bytes and errors to
 // json.Marshal's.
 
 var (
@@ -47,13 +50,35 @@ var (
 		"wall time IncrementalAnalyzer.ReportJSON spends encoding and hashing the fragments a refresh dropped and digesting the report body", nil)
 )
 
-// The writer's hand-written field lists: the JSON keys of Report and
-// AnalyzedTrace in struct order. Report's last key, skipped, is
-// omitempty. TestReportJSONFieldList pins both lists to the struct
-// tags, so a new field cannot silently go missing from served bytes.
+// The writer's hand-written field lists: the JSON keys of Report,
+// AnalyzedTrace and the event types in a head, in struct order.
+// Report's last key, skipped, is omitempty. TestReportJSONFieldList
+// pins every list to the struct tags, so a new field cannot silently
+// go missing from served bytes.
 var (
 	reportKeys = []string{"appId", "totalTraces", "traces", "impacted", "impactedTraces", "skipped"}
 	traceKeys  = []string{"traceId", "userId", "device", "events", "rank", "normPower", "amplitude", "fence", "manifestations", "windowKeys"}
+	// The keys of EventPower, trace.Instance and trace.EventKey, which
+	// the head writes each event with.
+	eventKeys    = []string{"instance", "powerMilliwatts"}
+	instanceKeys = []string{"key", "startMillis", "endMillis"}
+	eventKeyKeys = []string{"class", "callback"}
+	// headParts and eventParts are the literal bytes before each value
+	// a head writes: a trace's three identity strings and its events,
+	// and an event's class, callback, startMillis, endMillis and power.
+	headParts = [...]string{
+		`"` + traceKeys[0] + `":`,
+		`,"` + traceKeys[1] + `":`,
+		`,"` + traceKeys[2] + `":`,
+		`,"` + traceKeys[3] + `":`,
+	}
+	eventParts = [...]string{
+		`{"` + eventKeys[0] + `":{"` + instanceKeys[0] + `":{"` + eventKeyKeys[0] + `":`,
+		`,"` + eventKeyKeys[1] + `":`,
+		`},"` + instanceKeys[1] + `":`,
+		`,"` + instanceKeys[2] + `":`,
+		`},"` + eventKeys[1] + `":`,
+	}
 )
 
 // fragmentWriter encodes fragments through one reused buffer, so
@@ -138,12 +163,55 @@ func (w *fragmentWriter) take() *fragment {
 	return f
 }
 
-// head encodes `{"traceId":…,"userId":…,"device":…,"events":[…]`.
+// head encodes `{"traceId":…,"userId":…,"device":…,"events":[…]`
+// with encoding/json's bytes but without its reflection: the strings
+// through trace.AppendJSONString, the times through strconv and the
+// powers through trace.AppendJSONFloat. Heads are most of a report's
+// bytes and every one is encoded on a cold load. A trace holding a
+// non-finite power goes through members, which returns encoding/json's
+// error for it. FuzzHeadFragmentMatchesMarshal pins the bytes and the
+// error to json.Marshal's.
 func (w *fragmentWriter) head(at *AnalyzedTrace) (*fragment, error) {
 	w.buf.WriteByte('{')
-	if err := w.members(traceKeys[:4], at.TraceID, at.UserID, at.Device, at.Events); err != nil {
-		return nil, err
+	for i := range at.Events {
+		if p := at.Events[i].PowerMW; math.IsNaN(p) || math.IsInf(p, 0) {
+			if err := w.members(traceKeys[:4], at.TraceID, at.UserID, at.Device, at.Events); err != nil {
+				return nil, err
+			}
+			return w.take(), nil
+		}
 	}
+	b := append(w.buf.AvailableBuffer(), headParts[0]...)
+	b = trace.AppendJSONString(b, at.TraceID)
+	b = append(b, headParts[1]...)
+	b = trace.AppendJSONString(b, at.UserID)
+	b = append(b, headParts[2]...)
+	b = trace.AppendJSONString(b, at.Device)
+	b = append(b, headParts[3]...)
+	if at.Events == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range at.Events {
+			ev := &at.Events[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, eventParts[0]...)
+			b = trace.AppendJSONString(b, ev.Instance.Key.Class)
+			b = append(b, eventParts[1]...)
+			b = trace.AppendJSONString(b, ev.Instance.Key.Callback)
+			b = append(b, eventParts[2]...)
+			b = strconv.AppendInt(b, ev.Instance.StartMS, 10)
+			b = append(b, eventParts[3]...)
+			b = strconv.AppendInt(b, ev.Instance.EndMS, 10)
+			b = append(b, eventParts[4]...)
+			b = trace.AppendJSONFloat(b, ev.PowerMW)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	w.buf.Write(b)
 	return w.take(), nil
 }
 

@@ -15,9 +15,10 @@ import (
 )
 
 // TestReportJSONFieldList pins the fragment writer's hand-written field
-// lists to the json tags of Report and AnalyzedTrace: a field added,
-// renamed, reordered or retagged there must be mirrored in the writer,
-// or served bytes would silently drop it.
+// lists to the json tags of Report, AnalyzedTrace and the event types a
+// head writes by hand (EventPower, trace.Instance, trace.EventKey): a
+// field added, renamed, reordered or retagged there must be mirrored in
+// the writer, or served bytes would silently drop it.
 func TestReportJSONFieldList(t *testing.T) {
 	for _, tc := range []struct {
 		typ       reflect.Type
@@ -26,6 +27,9 @@ func TestReportJSONFieldList(t *testing.T) {
 	}{
 		{reflect.TypeOf(Report{}), reportKeys, []string{"skipped"}},
 		{reflect.TypeOf(AnalyzedTrace{}), traceKeys, nil},
+		{reflect.TypeOf(EventPower{}), eventKeys, nil},
+		{reflect.TypeOf(trace.Instance{}), instanceKeys, nil},
+		{reflect.TypeOf(trace.EventKey{}), eventKeyKeys, nil},
 	} {
 		var names, omit []string
 		for i := 0; i < tc.typ.NumField(); i++ {
@@ -221,4 +225,61 @@ func TestFloatColumnsMatchMarshal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzHeadFragmentMatchesMarshal pins the hand-written head fragment to
+// json.Marshal: for a trace built from fuzzed identity strings, event
+// keys, int64 times and float64 powers (from raw bits, so exponent
+// forms, -0, NaN and ±Inf all occur), the head's bytes must be exactly
+// json.Marshal's up to the rank member, and where json.Marshal fails
+// the head must fail with its error.
+func FuzzHeadFragmentMatchesMarshal(f *testing.F) {
+	f.Add("t-1", "u", "pixel", "Cls", "onCreate", int64(0), int64(9), math.Float64bits(1.5), uint8(1))
+	f.Add("t<2>&", "\u2028\u2029", "a\"b\\c", "\x00\x1f\x7f", "\xff\xfe ok \xc3", int64(-1), int64(math.MaxInt64), math.Float64bits(1e21), uint8(2))
+	f.Add("", "\b\f\n\r\t", "é漢", "K", "cb", int64(math.MinInt64), int64(3), math.Float64bits(1e-7), uint8(3))
+	f.Add("nan", "", "", "K", "cb", int64(1), int64(2), math.Float64bits(math.NaN()), uint8(1))
+	f.Add("inf", "", "", "K", "cb", int64(1), int64(2), math.Float64bits(math.Inf(-1)), uint8(2))
+	f.Add("negzero", "", "", "K", "cb", int64(1), int64(2), math.Float64bits(math.Copysign(0, -1)), uint8(5))
+	f.Add("nil", "", "", "", "", int64(0), int64(0), uint64(0), uint8(0))
+	f.Add("empty", "", "", "", "", int64(0), int64(0), uint64(0), uint8(4))
+	empty, err := json.Marshal(&AnalyzedTrace{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rest := empty[bytes.Index(empty, []byte(`,"`+traceKeys[4]+`":`)):]
+	f.Fuzz(func(t *testing.T, traceID, userID, device, class, callback string, start, end int64, bits uint64, n uint8) {
+		at := &AnalyzedTrace{TraceID: traceID, UserID: userID, Device: device}
+		if n&4 != 0 {
+			at.Events = []EventPower{}
+		}
+		// Up to three events; the later ones swap the strings and vary
+		// the times and power bits, so one input covers several forms.
+		for i := 0; i < int(n%4); i++ {
+			key := trace.EventKey{Class: class, Callback: callback}
+			if i == 1 {
+				key = trace.EventKey{Class: callback, Callback: traceID}
+			}
+			at.Events = append(at.Events, EventPower{
+				Instance: trace.Instance{Key: key, StartMS: start + int64(i), EndMS: end - int64(i)},
+				PowerMW:  math.Float64frombits(bits ^ uint64(i)<<51),
+			})
+		}
+		want, wantErr := json.Marshal(at)
+		head, err := newFragmentWriter().head(at)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("head error %v, json.Marshal error %v", err, wantErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("head: %v (json.Marshal succeeded)", err)
+		}
+		if !bytes.HasSuffix(want, rest) {
+			t.Fatalf("json.Marshal of a trace without Steps 2-4 does not end %s: %s", rest, want)
+		}
+		if want = want[:len(want)-len(rest)]; !bytes.Equal(head.data, want) {
+			t.Fatalf("head differs from json.Marshal:\n got %s\nwant %s", head.data, want)
+		}
+	})
 }

@@ -1,21 +1,28 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/stats/orderstat"
 	"repro/internal/trace"
 )
 
 // This file is the sublinear re-analysis engine behind
 // IncrementalAnalyzer: per-event-key order-statistic summaries plus
-// epoch-stamped dirty tracking, so a corpus mutation costs O(E·D)
-// summary maintenance (E = events in the touched bundle, D = distinct
-// powers of a touched key; each summary is a sorted column, so an
-// insert or delete shifts up to D entries) instead of the corpus-wide
-// counting sort, and a Report only recomputes the traces whose
-// cross-trace inputs actually changed. D stays small at the default
-// workload settings: a 5,000-session K9Mail corpus holds ~238k powers
-// over 34 keys but only ~3.5k distinct ones, about 100 per key. With
-// Step-1 estimation noise (EstimationNoiseFrac 0.025) ~86k are
+// epoch-stamped dirty tracking, so a corpus mutation costs summary
+// maintenance instead of the corpus-wide counting sort, and a Report
+// only recomputes the traces whose cross-trace inputs actually changed.
+// Each summary is a sorted column of a key's distinct powers. A flush
+// groups the powers of every trace it adds or removes by key, sorts
+// each group and merges it into its column in one pass: O(D + B log B)
+// per touched key, for D distinct powers of the key and B powers in
+// its group, plus a binary search of the column per distinct power in
+// the group. A one-bundle flush is thus O(E·D) (E events in the
+// bundle), and a cold load of the whole corpus one merge per key
+// rather than one column insert per power. D stays small at the
+// default workload settings: a 5,000-session K9Mail corpus holds ~238k
+// powers over 34 keys but only ~3.5k distinct ones, about 100 per key.
+// With Step-1 estimation noise (EstimationNoiseFrac 0.025) ~86k are
 // distinct, the worst case measured.
 //
 // Exactness contract: every number the exact path produces comes from
@@ -32,9 +39,9 @@ import (
 //   - A new trace has no stamps, so the next Report ranks and detects
 //     it with the stale traces; a mutation refreshes only summaries.
 //   - A trace's Rank column depends on the full power multiset of every
-//     key it contains. Each key carries msetEpoch, bumped on any
-//     add/remove touching its multiset; a trace whose per-key rank
-//     stamps lag any msetEpoch is re-ranked.
+//     key it contains. Each key carries msetEpoch, bumped by any flush
+//     that adds or removes one of its powers; a trace whose per-key
+//     rank stamps lag any msetEpoch is re-ranked.
 //   - NormPower (and everything downstream: Amplitude, Fence,
 //     Manifestations, WindowKeys, impact membership) depends only on
 //     the *value* of each key's base power. baseEpoch is bumped only
@@ -116,6 +123,15 @@ type corpusState struct {
 	touched   []uint32
 	touchedAt []uint64
 	serial    uint64
+
+	// The flush's batch, which mergeFlush folds into the summaries: the
+	// traces added and removed since the last merge, the keys they
+	// touch, per-key add and remove counts (zero between flushes) and
+	// the reused columns their powers are grouped in.
+	added, removed     []*traceEntry
+	flushKeys          []uint32
+	nAdd, nDel         []int
+	addBatch, delBatch []float64
 }
 
 func newCorpusState() *corpusState {
@@ -131,15 +147,20 @@ func (cs *corpusState) grow(k int) {
 		cs.baseEpoch = append(cs.baseEpoch, 0)
 		cs.impact = append(cs.impact, 0)
 		cs.touchedAt = append(cs.touchedAt, 0)
+		cs.nAdd = append(cs.nAdd, 0)
+		cs.nDel = append(cs.nDel, 0)
 	}
 }
 
 // applyAdd materializes the pending addition of key: Step 1 through the
-// content-keyed cache, per-key summary insertion for every event power
-// and base refresh for the touched keys. The new trace's own Steps 2–4
-// are left to the next Report: its nil stamps make it rank- and
-// detect-stale, so it is refreshed with every other stale trace.
-func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
+// content-keyed cache, using pre when estimateAhead already estimated
+// it (a zero pre, or a key a put earlier in the flush evicted after
+// estimateAhead saw it cached, is estimated here). The trace's powers
+// join the flush's batch, which mergeFlush folds into the summaries.
+// The new trace's own Steps 2–4 are left to the next Report: its nil
+// stamps make it rank- and detect-stale, so it is refreshed with every
+// other stale trace.
+func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle, pre stepOneResult) {
 	cs := ia.cs
 	if _, ok := cs.entries[key]; ok {
 		// Unreachable under the pending-queue cancellation invariant
@@ -152,8 +173,10 @@ func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
 	if ok {
 		ia.hits++
 	} else {
-		at, err := ia.a.estimateEvents(b)
-		res = stepOneResult{at: at, err: err}
+		res = pre
+		if res.at == nil && res.err == nil {
+			res.at, res.err = ia.a.estimateEvents(b)
+		}
 		ia.cache.put(key, res)
 		ia.fresh++
 	}
@@ -168,27 +191,19 @@ func (ia *IncrementalAnalyzer) applyAdd(key string, b *trace.TraceBundle) {
 	cs.grow(ia.a.keys.Len())
 	cs.serial++
 	cs.touched = cs.touched[:0]
-	for i, id := range e.at.keyIDs {
+	for _, id := range e.at.keyIDs {
 		if cs.touchedAt[id] != cs.serial {
 			cs.touchedAt[id] = cs.serial
 			cs.touched = append(cs.touched, id)
 		}
-		if cs.sums[id] == nil {
-			cs.sums[id] = &orderstat.Multiset{}
-		}
-		// Add cannot fail: Step 1 rejects non-finite estimates.
-		_ = cs.sums[id].Add(e.at.Events[i].PowerMW)
 	}
 	e.ids = append([]uint32(nil), cs.touched...)
-	for _, id := range e.ids {
-		cs.msetEpoch[id]++
-		ia.updateBase(id)
-	}
+	cs.added = append(cs.added, e)
 }
 
-// applyRemove retracts key's applied state: summary deletions, base
-// refresh for the touched keys, and withdrawal of the trace's Step-5
-// contributions.
+// applyRemove retracts key's applied state: withdrawal of the trace's
+// Step-5 contributions now, and of its powers from the summaries with
+// the rest of the flush's batch (mergeFlush).
 func (ia *IncrementalAnalyzer) applyRemove(key string) {
 	cs := ia.cs
 	e := cs.entries[key]
@@ -199,19 +214,92 @@ func (ia *IncrementalAnalyzer) applyRemove(key string) {
 	if e.err != nil {
 		return
 	}
-	for i, id := range e.at.keyIDs {
-		cs.sums[id].Remove(e.at.Events[i].PowerMW)
-	}
-	for _, id := range e.ids {
-		cs.msetEpoch[id]++
-		ia.updateBase(id)
-	}
+	cs.removed = append(cs.removed, e)
 	for _, id := range e.contributed {
 		cs.impact[id]--
 	}
 	if e.manifested {
 		cs.impactedTraces--
 	}
+}
+
+// maxKeptBatch bounds the batch columns a flush keeps for the next one:
+// a cold load's batch holds every power in the corpus, which a
+// one-bundle flush never needs again.
+const maxKeptBatch = 4096
+
+// mergeFlush folds the powers of the flush's added and removed traces
+// into the per-key summaries: it groups them by key with a counting
+// pass, sorts each key's group and merges it into the key's column in
+// one orderstat.Apply, O(D + B log B) per key for D distinct values
+// and B batch powers. Each touched key's multiset epoch is bumped and
+// its base recomputed once per flush, not once per trace; a base that
+// moves and moves back within a flush is unchanged, so the traces that
+// normalize against it stay detect-fresh, as their detection would
+// come out the same.
+func (ia *IncrementalAnalyzer) mergeFlush() {
+	cs := ia.cs
+	if len(cs.added)+len(cs.removed) == 0 {
+		return
+	}
+	// Count each key's batch powers, listing keys in first-touch order.
+	keys := cs.flushKeys[:0]
+	count := func(entries []*traceEntry, n []int) {
+		for _, e := range entries {
+			for _, id := range e.at.keyIDs {
+				if cs.nAdd[id] == 0 && cs.nDel[id] == 0 {
+					keys = append(keys, id)
+				}
+				n[id]++
+			}
+		}
+	}
+	count(cs.added, cs.nAdd)
+	count(cs.removed, cs.nDel)
+	// Turn the counts into each group's start in one flat column per
+	// direction, scatter the powers, and leave n[id] at the group's end.
+	scatter := func(entries []*traceEntry, n []int, col []float64) []float64 {
+		total := 0
+		for _, id := range keys {
+			total, n[id] = total+n[id], total
+		}
+		col = slices.Grow(col[:0], total)[:total]
+		for _, e := range entries {
+			for i, id := range e.at.keyIDs {
+				col[n[id]] = e.at.Events[i].PowerMW
+				n[id]++
+			}
+		}
+		return col
+	}
+	adds := scatter(cs.added, cs.nAdd, cs.addBatch)
+	dels := scatter(cs.removed, cs.nDel, cs.delBatch)
+	a, d := 0, 0
+	for _, id := range keys {
+		ga, gd := adds[a:cs.nAdd[id]], dels[d:cs.nDel[id]]
+		a, d = cs.nAdd[id], cs.nDel[id]
+		cs.nAdd[id], cs.nDel[id] = 0, 0
+		slices.Sort(ga)
+		slices.Sort(gd)
+		if cs.sums[id] == nil {
+			cs.sums[id] = &orderstat.Multiset{}
+		}
+		// Apply cannot fail: Step 1 rejects non-finite estimates, and
+		// every removed power was merged in when its trace was added.
+		_ = cs.sums[id].Apply(ga, gd)
+		cs.msetEpoch[id]++
+		ia.updateBase(id)
+	}
+	clear(cs.added)
+	clear(cs.removed)
+	cs.added, cs.removed, cs.flushKeys = cs.added[:0], cs.removed[:0], keys[:0]
+	if cap(adds) > maxKeptBatch {
+		adds = nil
+	}
+	if cap(dels) > maxKeptBatch {
+		dels = nil
+	}
+	cs.addBatch, cs.delBatch = adds, dels
 }
 
 // updateBase recomputes key id's normalization base from its summary and

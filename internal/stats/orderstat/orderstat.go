@@ -1,7 +1,8 @@
 // Package orderstat provides an exact order-statistic multiset over
 // float64 values: Rank, FracRank, Kth and Percentile are binary
-// searches, and Add and Remove cost one binary search plus O(D) column
-// updates, where D is the number of distinct values stored. It is the
+// searches, and Apply merges a sorted batch of adds and removes into
+// the store in one pass, O(D + B) for D distinct values stored and B
+// batch values (Add and Remove are one-value batches). It is the
 // summary structure behind the sublinear re-analysis path — one
 // multiset per interned event key replaces the corpus-wide counting
 // sort of the batch pipeline, while returning bit-identical answers.
@@ -21,13 +22,15 @@
 // 5,000-session K9Mail corpus hold ~238k powers but only ~3.5k
 // distinct ones, about 100 per key — so the O(D) part of a mutation is
 // short. When every value is distinct it is not: BenchmarkAddRemove,
-// over 10,000 distinct values, costs ~15 µs per add/remove pair.
+// over 10,000 distinct values, costs ~15 µs per add/remove pair, which
+// is why a caller with many values merges them as one batch.
 //
 // A Multiset is not safe for concurrent use; callers serialize access
 // (the incremental analyzer holds its own lock).
 package orderstat
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -65,56 +68,154 @@ func (m *Multiset) end(i int) int {
 	return m.n
 }
 
-// shift adds d to the below count of every distinct value from index i
-// on: one more or one fewer value now precedes each of them.
-func (m *Multiset) shift(i, d int) {
-	b := m.below[i:]
-	for j := range b {
-		b[j] += d
-	}
-}
-
 // Add inserts one occurrence of v. Non-finite values are rejected with
 // an error so a corrupted sample cannot silently poison the summary
 // (mirroring stats.ErrNonFinite at the batch layer). -0 and +0 compare
 // equal and share one entry.
 func (m *Multiset) Add(v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("%w: %v", stats.ErrNonFinite, v)
-	}
-	i, found := slices.BinarySearch(m.vals, v)
-	if !found {
-		less := m.n
-		if i < len(m.below) {
-			less = m.below[i]
-		}
-		m.vals = slices.Insert(m.vals, i, v)
-		m.below = slices.Insert(m.below, i, less)
-	}
-	m.shift(i+1, 1)
-	m.n++
-	return nil
+	one := [1]float64{v}
+	return m.Apply(one[:], nil)
 }
 
 // Remove deletes one occurrence of v, reporting whether it was present.
 func (m *Multiset) Remove(v float64) bool {
-	if math.IsNaN(v) {
-		return false
-	}
-	i, found := slices.BinarySearch(m.vals, v)
-	if !found {
-		return false
-	}
-	if m.end(i)-m.below[i] == 1 {
-		m.vals = slices.Delete(m.vals, i, i+1)
-		m.below = slices.Delete(m.below, i, i+1)
-		m.shift(i, -1)
-	} else {
-		m.shift(i+1, -1)
-	}
-	m.n--
-	return true
+	one := [1]float64{v}
+	return m.Apply(nil, one[:]) == nil
 }
+
+// Apply adds every value of add, then removes every value of remove;
+// both must be sorted ascending. It checks the batch with one binary
+// search per distinct value and merges it into the columns in one
+// pass: O(D + B log D) for D distinct values stored and B in the
+// batch. Entries below the batch's smallest value are not touched and
+// the columns only move when a distinct value appears or goes, so one
+// value costs what a slice insert does. A caller holding B unsorted
+// values pays O(B log B) to sort them, not the O(B·D) of B single
+// adds. Apply returns an error and leaves the multiset unchanged if
+// add holds a non-finite value, either list is not sorted, or remove
+// holds more occurrences of a value than the multiset and add
+// together.
+func (m *Multiset) Apply(add, remove []float64) error {
+	// s is where the merge starts: the stored position of the batch's
+	// smallest value, which the checks below search for anyway.
+	s := len(m.vals)
+	grow := 0 // distinct values of add not stored yet: the new entries
+	for i, v := range add {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %v", stats.ErrNonFinite, v)
+		}
+		if i > 0 && v == add[i-1] {
+			continue
+		}
+		if i > 0 && v < add[i-1] {
+			return errUnsorted
+		}
+		at, found := slices.BinarySearch(m.vals, v)
+		if !found {
+			grow++
+		}
+		if i == 0 {
+			s = at
+		}
+	}
+	for i := 0; i < len(remove); {
+		v := remove[i]
+		if i > 0 && !(v > remove[i-1]) {
+			return errUnsorted // NaN lands here or below, as absent
+		}
+		j := i + 1
+		for j < len(remove) && remove[j] == v {
+			j++
+		}
+		at, found := slices.BinarySearch(m.vals, v)
+		have := 0
+		if found {
+			have = m.end(at) - m.below[at]
+		}
+		lo, _ := slices.BinarySearch(add, v)
+		hi := lo
+		for hi < len(add) && add[hi] == v {
+			hi++
+		}
+		if have+hi-lo < j-i {
+			return fmt.Errorf("orderstat: value %v removed %d times, present %d", v, j-i, have+hi-lo)
+		}
+		if i == 0 {
+			s = min(s, at)
+		}
+		i = j
+	}
+	if len(add)+len(remove) == 0 {
+		return nil
+	}
+	// Entries below s keep their place and their below counts. The rest
+	// move up by grow, into the room the merge below reads them from:
+	// each output is written at or below the read position, so no
+	// unread entry is overwritten.
+	n0 := len(m.vals)
+	run := m.n // stored values below the next output entry
+	if s < n0 {
+		run = m.below[s]
+	}
+	if grow > 0 {
+		m.vals = slices.Grow(m.vals, grow)[:n0+grow]
+		m.below = slices.Grow(m.below, grow)[:n0+grow]
+		copy(m.vals[s+grow:], m.vals[s:n0])
+		copy(m.below[s+grow:], m.below[s:n0])
+	}
+	n1 := n0 + grow
+	r, w, a, k := s+grow, s, 0, 0
+	for a < len(add) || k < len(remove) {
+		var v float64
+		c := 0
+		if r < n1 && (a == len(add) || m.vals[r] <= add[a]) {
+			// A stored entry keeps its bits when an equal value (+0
+			// for -0) joins it.
+			v = m.vals[r]
+			next := m.n
+			if r+1 < n1 {
+				next = m.below[r+1]
+			}
+			c = next - m.below[r]
+			r++
+		} else {
+			v = add[a]
+		}
+		for a < len(add) && add[a] == v {
+			c++
+			a++
+		}
+		for k < len(remove) && remove[k] == v {
+			c--
+			k++
+		}
+		if c > 0 {
+			m.vals[w], m.below[w] = v, run
+			run += c
+			w++
+		}
+	}
+	// The batch is merged. The entries above it move down to w, and
+	// each one's below count changes by what the batch added below it,
+	// less what it removed.
+	if r < n1 {
+		d := run - m.below[r]
+		if w < r {
+			copy(m.vals[w:], m.vals[r:n1])
+			copy(m.below[w:], m.below[r:n1])
+		}
+		above := m.below[w : w+n1-r]
+		for j := range above {
+			above[j] += d
+		}
+		w += n1 - r
+	}
+	m.vals, m.below = m.vals[:w], m.below[:w]
+	m.n += len(add) - len(remove)
+	return nil
+}
+
+var errUnsorted = errors.New("orderstat: batch not sorted ascending")
 
 // Rank returns how many stored values are strictly less than v and how
 // many equal it.

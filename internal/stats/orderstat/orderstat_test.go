@@ -3,6 +3,7 @@ package orderstat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -254,6 +255,62 @@ func BenchmarkPercentile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Percentile(10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestApplyRejectsWithoutChange: a batch that is unsorted, holds a
+// non-finite add, or removes more occurrences than the multiset and
+// the batch's adds hold fails as a whole and changes nothing.
+func TestApplyRejectsWithoutChange(t *testing.T) {
+	var m Multiset
+	if err := m.Apply([]float64{1, 2, 2, 5}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := m.AppendValues(nil)
+	for _, tc := range []struct {
+		name        string
+		add, remove []float64
+	}{
+		{"unsorted add", []float64{3, 1}, nil},
+		{"unsorted remove", nil, []float64{5, 1}},
+		{"non-finite add", []float64{0, math.Inf(1)}, nil},
+		{"NaN add", []float64{math.NaN()}, nil},
+		{"NaN remove", nil, []float64{math.NaN()}},
+		{"absent remove", []float64{4}, []float64{1, 3}},
+		{"one occurrence too many", []float64{2}, []float64{2, 2, 2, 2}},
+	} {
+		if err := m.Apply(tc.add, tc.remove); err == nil {
+			t.Errorf("%s: Apply(%v, %v) succeeded", tc.name, tc.add, tc.remove)
+		}
+		if got := m.AppendValues(nil); !slices.Equal(got, want) || m.Len() != len(want) {
+			t.Fatalf("%s: failed Apply changed the multiset: %v, want %v", tc.name, got, want)
+		}
+	}
+	// The adds land before the removes: a batch may remove what it adds.
+	if err := m.Apply([]float64{2, 3}, []float64{1, 2, 2, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.AppendValues(nil); !slices.Equal(got, []float64{5}) {
+		t.Fatalf("after add-then-remove batch: %v, want [5]", got)
+	}
+}
+
+// BenchmarkApplyColdColumn merges 10,000 distinct values into an empty
+// column as one sorted batch: what a cold load pays per key, against
+// the 10,000 single Adds of BenchmarkAddRemove's set-up.
+func BenchmarkApplyColdColumn(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 10000)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+	}
+	slices.Sort(vals)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var m Multiset
+		if err := m.Apply(vals, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,6 +53,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -107,13 +108,16 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame from r and returns its verified payload.
+// ReadFrame reads one frame from r and returns its verified payload,
+// read into buf's storage when its capacity holds the payload (a
+// reader of many frames passes the previous payload back to reuse it)
+// and into a new slice otherwise; pass nil for a payload of its own.
 // max bounds the declared payload length (<= 0 means MaxFrameBytes).
 // io.EOF is returned untouched at a clean frame boundary; a header or
 // payload cut short mid-frame surfaces as io.ErrUnexpectedEOF, and a
 // checksum failure as ErrCRCMismatch — the two torn-tail signals the
 // segment replay distinguishes from a clean end of log.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
+func ReadFrame(r io.Reader, max int, buf []byte) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrameBytes
 	}
@@ -131,7 +135,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if int64(n) > int64(max) {
 		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", ErrFrameTooLarge, n, max)
 	}
-	payload := make([]byte, n)
+	payload := slices.Grow(buf[:0], int(n))[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF

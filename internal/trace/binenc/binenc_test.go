@@ -195,7 +195,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	r := bytes.NewReader(buf.Bytes())
 	for i, want := range payloads {
-		got, err := ReadFrame(r, 0)
+		got, err := ReadFrame(r, 0, nil)
 		if err != nil {
 			t.Fatalf("frame %d: ReadFrame: %v", i, err)
 		}
@@ -203,7 +203,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: payload mismatch", i)
 		}
 	}
-	if _, err := ReadFrame(r, 0); err != io.EOF {
+	if _, err := ReadFrame(r, 0, nil); err != io.EOF {
 		t.Fatalf("want clean io.EOF at end of stream, got %v", err)
 	}
 }
@@ -222,7 +222,7 @@ func TestFrameTornTail(t *testing.T) {
 		r := bytes.NewReader(framed[:cut])
 		var err error
 		for err == nil {
-			_, err = ReadFrame(r, 0)
+			_, err = ReadFrame(r, 0, nil)
 		}
 		if cut == 0 || cut == boundary {
 			if err != io.EOF {
@@ -245,7 +245,7 @@ func TestCorruptFrameErrorParity(t *testing.T) {
 	for i := range framed {
 		mut := append([]byte(nil), framed...)
 		mut[i] ^= 0x40
-		got, err := ReadFrame(bytes.NewReader(mut), 0)
+		got, err := ReadFrame(bytes.NewReader(mut), 0, nil)
 		if err == nil {
 			// A flip in the length prefix can shorten the declared
 			// length so the CRC no longer matches — ReadFrame must
@@ -282,11 +282,38 @@ func TestCorruptFrameErrorParity(t *testing.T) {
 
 func TestReadFrameTooLarge(t *testing.T) {
 	framed := AppendFrame(nil, make([]byte, 100))
-	if _, err := ReadFrame(bytes.NewReader(framed), 50); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(bytes.NewReader(framed), 50, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(framed), 100); err != nil {
+	if _, err := ReadFrame(bytes.NewReader(framed), 100, nil); err != nil {
 		t.Fatalf("payload at limit must pass: %v", err)
+	}
+}
+
+// TestReadFrameReusesBuffer: a payload that fits the buffer passed in
+// is read into its storage; one that does not gets new storage, and
+// the buffer passed in is left as it was.
+func TestReadFrameReusesBuffer(t *testing.T) {
+	var stream []byte
+	for _, p := range []string{"first", "2nd", "a longer third payload"} {
+		stream = AppendFrame(stream, []byte(p))
+	}
+	r := bytes.NewReader(stream)
+	buf := make([]byte, 0, 8)
+	got, err := ReadFrame(r, 0, buf)
+	if err != nil || string(got) != "first" || &got[0] != &buf[:1][0] {
+		t.Fatalf("first frame: %q, %v; want \"first\" in the buffer passed in", got, err)
+	}
+	got, err = ReadFrame(r, 0, got)
+	if err != nil || string(got) != "2nd" || &got[0] != &buf[:1][0] {
+		t.Fatalf("second frame: %q, %v; want \"2nd\" in the same storage", got, err)
+	}
+	got, err = ReadFrame(r, 0, got)
+	if err != nil || string(got) != "a longer third payload" {
+		t.Fatalf("third frame: %q, %v", got, err)
+	}
+	if string(buf[:3]) != "2nd" {
+		t.Fatalf("a payload too large for the buffer wrote into it: %q", buf[:3])
 	}
 }
 

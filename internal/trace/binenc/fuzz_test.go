@@ -60,7 +60,7 @@ func FuzzBinaryBundle(f *testing.F) {
 		}
 		// Frame round trip of the canonical payload.
 		fr := AppendFrame(nil, re)
-		got, err := ReadFrame(bytes.NewReader(fr), 0)
+		got, err := ReadFrame(bytes.NewReader(fr), 0, nil)
 		if err != nil || !bytes.Equal(got, re) {
 			t.Fatalf("frame round trip: %v", err)
 		}

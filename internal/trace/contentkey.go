@@ -221,6 +221,61 @@ func (w *keyWriter) str(s string) {
 	w.h = (h ^ '"') * fnvPrime64
 }
 
+// AppendJSONString appends s as encoding/json encodes a string with
+// its default HTML escaping — the content-key walker's str rules: `"`
+// and `\` backslashed, \b \f \n \r \t short forms, other control
+// bytes and HTML's <>& as \u00XX, U+2028 and U+2029 as \u202X, and
+// each byte of invalid UTF-8 as \ufffd. Runs that need no escaping are
+// copied whole.
+func AppendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if htmlSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
 // AppendJSONFloat appends the finite f as encoding/json encodes a
 // float64: shortest round-trip digits, in exponent form below 1e-6 and
 // from 1e21, with a one-digit negative exponent not zero-padded.
